@@ -57,6 +57,7 @@ from .partition import (
     estimate_ratio,
     hoeffding_sample_size,
     oracle_ratio_moments,
+    oracle_ratio_range,
     required_runs,
     sample_size,
     tv_target,
@@ -88,7 +89,7 @@ from .spaces import (
     structure_from_json,
     subtree_counts,
 )
-from .streams import stream, substreams
+from .streams import stream
 from .training import (
     AnnealConfig,
     TrainConfig,

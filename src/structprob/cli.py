@@ -44,6 +44,7 @@ from .partition import (
     build_schedule,
     estimate_partition,
     oracle_ratio_moments,
+    oracle_ratio_range,
 )
 from .samplers import (
     GibbsTarget,
@@ -291,18 +292,23 @@ def run_verification(seed: int = 20240, samples: int = 50_000) -> list[dict]:
     target = GibbsTarget(space, Params(theta, norm_budget=1.3), beta=1.0)
     schedule = build_schedule(1.0, float(np.linalg.norm(theta)), p=3)
     log_prod = 0.0
-    band_ok, var_ok = True, True
+    var_ok = True
     p = schedule.p
+    f_min, f_max = float("inf"), 0.0
     for i in range(1, schedule.l + 1):
         rho, rel_var = oracle_ratio_moments(schedule, i, target)
         log_prod += log(rho)
-        band_ok &= exp(1.0 / p) - 1.0 <= rho <= exp(-1.0 / p) + 1.0
         var_ok &= rel_var <= exp(2.0 / p)
+        lo, hi = oracle_ratio_range(schedule, i, target)
+        f_min, f_max = min(f_min, lo), max(f_max, hi)
     ln_z = exact_partition(target)
     telescoped = log(space.count()) - log_prod
     add("telescoping-identity", abs(telescoped - ln_z) < 1e-9,
         {"telescoped": telescoped, "exact": ln_z})
-    add("ratio-band", band_ok, {"l": schedule.l})
+    band = (exp(-1.0 / p), exp(1.0 / p))
+    band_ok = band[0] * (1.0 - 1e-12) <= f_min and f_max <= band[1] * (1.0 + 1e-12)
+    add("ratio-band", band_ok,
+        {"l": schedule.l, "min_f": f_min, "max_f": f_max, "band": list(band)})
     add("ratio-relative-variance", var_ok, {"bound": exp(2.0 / p)})
 
     # gradient vs central finite differences
@@ -449,25 +455,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args) -> None:
+def _apply_config_file(parser, args) -> None:
+    """Override flags from the --config JSON object, coercing each value
+    with its flag's argparse type and checking it against its choices."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ConfigError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if attr == "lambda":
             attr = "lam"
-        if not hasattr(args, attr):
+        action = actions.get(attr)
+        if action is None or not hasattr(args, attr):
             raise ConfigError(f"config key {key!r} is not a flag of this command")
-        setattr(args, attr, value)
+        setattr(args, attr, _coerce_config_value(key, value, action))
+
+
+def _coerce_config_value(key, value, action):
+    if value is None:
+        if action.default is None and not action.required:
+            return None
+        raise ConfigError(f"config key {key!r} must not be null")
+    if action.nargs == 0:  # on/off switch such as --oracle
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false")
+        return value
+    convert = action.type or str
+    if convert is str and not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
+    # argparse types parse text; converting the JSON value's text form makes
+    # 5.5 an invalid int and true an invalid float instead of coercing them
+    try:
+        coerced = convert(value if isinstance(value, str) else json.dumps(value))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"config key {key!r}: {value!r} is not a valid {convert.__name__}"
+        ) from exc
+    if action.choices is not None and coerced not in action.choices:
+        raise ConfigError(
+            f"config key {key!r} must be one of {sorted(action.choices)}"
+        )
+    return coerced
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(parser, args)
         _validate(args)
         return args.func(args)
     except ConfigError as exc:

@@ -5,7 +5,8 @@ partition values, exact gradients and distributions, an exact MAP argmax,
 and a graph-Hamiltonicity decision driven entirely by a partition-value
 threshold over the cycle space.  These are the oracles the samplers and
 estimators are validated against; none of them share code with the
-estimation paths they check.
+estimation paths they check beyond a small space's score table and its
+expectation map, which the tests check against per-structure joint features.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ def exact_gradient(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> np.ndarra
     """Gradient of ln Z: the probability-weighted mean of joint features."""
     structures, scores = _beta_scores(target, cap)
     probs = np.exp(scores - logsumexp(scores))
-    table = target.table
-    if table is not None:
-        return table.features.T @ probs
+    if target.table is not None:
+        return target.expected_features(probs)
     grad = np.zeros(target.params.theta.size)
     for y, p in zip(structures, probs):
         grad += p * target.features(y)

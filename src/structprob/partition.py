@@ -38,6 +38,7 @@ from .samplers import (
     sample_exact_cftp,
 )
 from .spaces import ENUMERATION_CAP
+from .streams import require_rng
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -171,6 +172,7 @@ def estimate_ratio(
         raise ValueError(f"ratio index {i} outside 1..{schedule.l}")
     if mode not in (EXACT, APPROXIMATE):
         raise ValueError(f"unknown sampler mode {mode!r}")
+    require_rng(rng, "estimate_ratio")
     if mode == APPROXIMATE and eps_tv is None:
         raise ValueError("approximate mode needs a total-variation budget")
     b_prev, b_cur = schedule.betas[i - 1], schedule.betas[i]
@@ -214,6 +216,7 @@ def estimate_partition(
     _check_epsilon(epsilon)
     if target.beta != 1.0:
         raise ValueError("partition estimation expects a target at beta = 1")
+    require_rng(rng, "estimate_partition")
     schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm, p)
     S = sample_size(epsilon, schedule.l, p)
     eps_tv = tv_target(epsilon, schedule.l, p) if mode == APPROXIMATE else None
@@ -301,13 +304,15 @@ def estimate_gradient(
         raise ValueError("S must be >= 1")
     if mode == APPROXIMATE and eps_tv is None:
         raise ValueError("approximate mode needs a total-variation budget")
+    require_rng(rng, "estimate_gradient")
     table = target.table
     if table is not None:
         if mode == EXACT:
             idx, _ = _cftp_batch_indices(target, S, rng, max_epochs)
         else:
             idx = _approx_batch_indices(target, eps_tv, S, rng)
-        d = table.features[idx].mean(axis=0)
+        counts = np.bincount(idx, minlength=len(table.structures))
+        d = target.expected_features(counts / S)
     else:
         d = np.zeros(target.params.theta.size)
         for _ in range(S):
@@ -331,20 +336,40 @@ def oracle_ratio_moments(
     The expectation equals the true ratio Z(b_{i-1} theta) / Z(b_i theta);
     the second entry is the relative variance the sample sizes rely on.
     """
-    if not 1 <= i <= schedule.l:
-        raise ValueError(f"ratio index {i} outside 1..{schedule.l}")
-    b_prev, b_cur = schedule.betas[i - 1], schedule.betas[i]
-    table = target.table
-    if table is not None:
-        scores = table.scores
-    else:
-        scores = np.array([target.score(y) for y in target.space.enumerate(cap)])
+    b_prev, b_cur, scores = _oracle_ratio_scores(schedule, i, target, cap)
     log_w = b_cur * scores
     probs = np.exp(log_w - _logsumexp(log_w))
     f = np.exp((b_prev - b_cur) * scores)
     rho = float(probs @ f)
     second = float(probs @ (f * f))
     return rho, (second - rho * rho) / (rho * rho)
+
+
+def oracle_ratio_range(
+    schedule: CoolingSchedule,
+    i: int,
+    target: GibbsTarget,
+    cap: int = ENUMERATION_CAP,
+) -> tuple[float, float]:
+    """(min f_i, max f_i) over the whole space, by full enumeration.
+
+    The schedule's gap rule confines both to [exp(-1/p), exp(1/p)].
+    """
+    b_prev, b_cur, scores = _oracle_ratio_scores(schedule, i, target, cap)
+    f = np.exp((b_prev - b_cur) * scores)
+    return float(f.min()), float(f.max())
+
+
+def _oracle_ratio_scores(schedule, i, target, cap):
+    """(b_{i-1}, b_i, score of every structure) for ratio i."""
+    if not 1 <= i <= schedule.l:
+        raise ValueError(f"ratio index {i} outside 1..{schedule.l}")
+    table = target.table
+    if table is not None:
+        scores = table.scores
+    else:
+        scores = np.array([target.score(y) for y in target.space.enumerate(cap)])
+    return schedule.betas[i - 1], schedule.betas[i], scores
 
 
 def _logsumexp(v: np.ndarray) -> float:

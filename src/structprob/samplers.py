@@ -22,9 +22,10 @@ are provably in the same state from that step on.  The certificate can only
 delay detection, never fake it, so exactness is preserved; its expected
 firing depth is at most exp(2*beta*B*R).
 
-Spaces whose structures can all be enumerated cheaply get a cached score
-table, which the batch entry points use to run thousands of chains as numpy
-array operations.
+Spaces whose structures can all be enumerated cheaply get a score table:
+one matrix-vector product of the space's shared label table with theta
+folded against the input.  The batch entry points use it to run thousands
+of chains as numpy array operations.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, exp, log
+from math import ceil, exp, expm1, floor, log, log1p
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, EpochBudgetExhausted
+from .errors import DimensionMismatch, EpochBudgetExhausted, SamplerFailure, ZeroInput
 from .model import (
     FEATURE_NORM_BOUND,
     Params,
@@ -48,8 +49,11 @@ from .model import (
 )
 from .spaces import OutputSpace, Structure
 
-# Largest space for which we precompute all structures and scores.
-TABLE_CAP = 4096
+# Chain lengths above this are refused instead of run: at roughly a
+# microsecond per step even the vectorised kernels would take hours.
+MAX_MIXING_STEPS = 10**9
+
+_LN2 = log(2.0)
 
 # Rectangular randomness blocks for batch CFTP are grown per sub-batch of
 # this many runs, keeping peak memory bounded.
@@ -62,11 +66,15 @@ _MAX_WAVE = 4096
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Full enumeration of a small space with beta-free scores and features."""
+    """Full enumeration of a small space with beta-free scores.
+
+    ``structures`` and ``features`` are the space's shared label table;
+    only ``scores`` belongs to the target.
+    """
 
     structures: tuple[Structure, ...]
     scores: np.ndarray  # <phi(x, y), theta> per structure
-    features: np.ndarray  # one row per structure
+    features: np.ndarray  # psi(y) / max||psi||, one row per structure
 
 
 @dataclass(frozen=True)
@@ -108,12 +116,44 @@ class GibbsTarget:
         return effective_norm_budget(self.params, self.space) * FEATURE_NORM_BOUND
 
     @cached_property
-    def table(self) -> Optional[ScoreTable]:
-        if self.space.count() > TABLE_CAP:
+    def unit_input(self) -> Optional[np.ndarray]:
+        """x / ||x||, or None for the label-only feature map."""
+        if self.x is None:
             return None
-        structures = tuple(self.space.enumerate())
-        feats = np.stack([self.features(y) for y in structures])
-        return ScoreTable(structures, feats @ self.params.theta, feats)
+        x = self.x.reshape(-1)
+        x_norm = float(np.linalg.norm(x))
+        if x_norm == 0.0:
+            raise ZeroInput("input feature vector has zero norm")
+        return x / x_norm
+
+    @cached_property
+    def table(self) -> Optional[ScoreTable]:
+        """Scores of every structure, from the space's shared label table.
+
+        phi(x, y) is x/||x|| (x) psi(y)/max||psi||, so with theta viewed as
+        a (|x|, d_Y) matrix every score is psi_n(y) . v for the single
+        vector v = Theta^T x/||x|| (v = theta in label-only mode).
+        """
+        labels = self.space.label_table
+        if labels is None:
+            return None
+        x = self.unit_input
+        v = self.params.theta
+        if x is not None:
+            v = x @ v.reshape(x.size, -1)
+        return ScoreTable(labels.structures, labels.features @ v, labels.features)
+
+    def expected_features(self, probs: np.ndarray) -> np.ndarray:
+        """E[phi] under ``probs``, a distribution over the table's rows.
+
+        By bilinearity E[phi] = x/||x|| (x) (Psi_n^T probs); no joint feature
+        vector is formed.  Requires a score table.
+        """
+        psi_mean = self.table.features.T @ probs
+        x = self.unit_input
+        if x is None:
+            return psi_mean
+        return np.outer(x, psi_mean).reshape(-1)
 
     def at_beta(self, beta: float) -> "GibbsTarget":
         """Same space and parameters at a different inverse temperature."""
@@ -165,18 +205,38 @@ def meta_step(
 def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
     """Steps after which the chain is within eps_tv total variation.
 
-    ceil(ln(1/eps) / ln(1/(1 - exp(-2BR)))); 0 steps for eps_tv = 1 and a
+    ceil(ln(1/eps) / -ln(1 - exp(-2BR))); 0 steps for eps_tv = 1 and a
     single step in the degenerate B*R = 0 case, where the first accepted
-    proposal is already an exact sample.
+    proposal is already an exact sample.  For 2BR > ln 2 the denominator is
+    evaluated as -log1p(-exp(-2BR)), which stays positive long after
+    1 - exp(-2BR) rounds to 1.  Raises SamplerFailure when the bound exceeds
+    MAX_MIXING_STEPS.
     """
     if not 0 < eps_tv <= 1:
         raise ValueError("eps_tv must be in (0, 1]")
     if eps_tv == 1:
         return 0
-    no_update = 1.0 - exp(-2.0 * B * R)
-    if no_update <= 0.0:
+    a = 2.0 * B * R
+    if a <= 0.0:
         return 1
-    return ceil(log(1.0 / eps_tv) / -log(no_update))
+    # -ln(1 - e^-a) without cancellation at either end (Maechler's log1mexp)
+    denom = -(log(-expm1(-a)) if a <= _LN2 else log1p(-exp(-a)))
+    # the log of the bound stays finite where the bound itself would not;
+    # -ln(1 - e^-a) tends to e^-a, which is what an underflowed denom means
+    log_steps = log(log(1.0 / eps_tv)) - (log(denom) if denom > 0.0 else -a)
+    if log_steps > log(MAX_MIXING_STEPS):
+        raise SamplerFailure(
+            f"mixing bound at B*R = {B * R:.6g} is about "
+            f"{_format_log_count(log_steps)} steps, above the limit of "
+            f"{MAX_MIXING_STEPS:.0e}"
+        )
+    return ceil(log(1.0 / eps_tv) / denom)
+
+
+def _format_log_count(log_n: float) -> str:
+    """exp(log_n) in scientific notation, without overflowing."""
+    exponent = floor(log_n / log(10.0))
+    return f"{10.0 ** (log_n / log(10.0) - exponent):.1f}e{exponent:+d}"
 
 
 def sample_exact_cftp(

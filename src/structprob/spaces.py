@@ -14,7 +14,11 @@ bits quickly), and sampling decisions driven by those counts are made with
 exact integer arithmetic so the resulting distributions are exactly uniform.
 
 All spaces are immutable after construction and safe to share across threads;
-every sampling operation takes an explicit ``numpy.random.Generator``.
+every sampling operation takes an explicit ``numpy.random.Generator``.  A
+space with at most ``TABLE_CAP`` structures also carries a label table: its
+structures with their normalized label features, enumerated on first use
+and cached on the instance, so every score table and exact expectation over
+that space reuses one enumeration.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, sqrt
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +35,9 @@ from .errors import CapExceeded, WrongSpace
 
 # Spaces larger than this refuse to enumerate.
 ENUMERATION_CAP = 10**6
+
+# Largest space whose structures and label features are tabulated.
+TABLE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,25 @@ def subtree_counts(tree: RootedTree) -> tuple[int, ...]:
     return tuple(g)
 
 
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """Every structure of a small space with its normalized label features.
+
+    Row k of ``features`` is psi(structures[k]) / max||psi||.  Nothing here
+    depends on parameters or inputs: the joint map is bilinear, so the score
+    of y under theta and x is ``features[k] @ v`` for one vector v folded
+    from theta and x, and every target on the space shares this table.
+    """
+
+    structures: tuple[Structure, ...]
+    features: np.ndarray  # read-only, one row per structure
+
+    @cached_property
+    def index(self) -> dict[Structure, int]:
+        """Row of each structure."""
+        return {y: k for k, y in enumerate(self.structures)}
+
+
 class OutputSpace:
     """Common interface of the four combinatorial families."""
 
@@ -225,6 +251,17 @@ class OutputSpace:
 
     def to_descriptor(self) -> dict:
         raise NotImplementedError
+
+    @cached_property
+    def label_table(self) -> Optional[LabelTable]:
+        """The space's label table, or None above TABLE_CAP structures."""
+        if self.count() > TABLE_CAP:
+            return None
+        structures = tuple(self.enumerate())
+        psi = np.stack([self.output_features(y) for y in structures])
+        psi /= self.max_feature_norm()
+        psi.setflags(write=False)
+        return LabelTable(structures, psi)
 
     def _check_cap(self, cap: int) -> None:
         if self.count() > cap:

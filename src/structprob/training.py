@@ -11,6 +11,13 @@ log-partition terms are either exact (full enumeration) or Monte Carlo
 estimates sized by the Hoeffding bound; instances sharing an input reuse
 one expectation per iteration.
 
+On a space with a label table the exact objective and gradient are one
+batched pass over the unique inputs: with X the unit-norm inputs, Theta the
+parameters as an (|x|, d_Y) matrix and Psi the table's label features, the
+scores of every (input, structure) pair are X Theta Psi^T, each ln Z is a
+row-wise log-sum-exp, and the expectation term is X^T diag(counts) P Psi.
+Larger spaces fall back to one exact oracle call per unique input.
+
 Prediction runs the Metropolis chain along an increasing inverse-temperature
 ladder and returns the best structure visited, which is validated against
 exhaustive argmax oracles at desk scale.
@@ -25,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SamplerFailure
+from .errors import DimensionMismatch, SamplerFailure, WrongSpace, ZeroInput
 from .model import (
     Dataset,
     Instance,
@@ -41,8 +48,9 @@ from .partition import (
     estimate_partition,
     hoeffding_sample_size,
 )
-from .samplers import TABLE_CAP, GibbsTarget, _draw_proposal, sample_exact_cftp
-from .spaces import OutputSpace, Structure, space_from_descriptor
+from .samplers import GibbsTarget, _draw_proposal, sample_exact_cftp
+from .spaces import TABLE_CAP, LabelTable, OutputSpace, Structure, space_from_descriptor
+from .streams import require_rng
 
 EXACT_ORACLE = "exact"
 FPRAS = "fpras"
@@ -121,6 +129,46 @@ def _unique_inputs(data: Dataset):
     return list(groups.values())
 
 
+@dataclass(frozen=True)
+class _TabledData:
+    """A dataset laid out against a label table for the batched exact pass."""
+
+    xs: np.ndarray  # unique inputs scaled to unit norm, u x |x|
+    counts: np.ndarray  # instances per unique input
+    pairs: np.ndarray  # u x |Y| counts of observed (input, label) pairs
+
+
+def _tabled_data(data: Dataset, table: LabelTable) -> _TabledData:
+    groups = _unique_inputs(data)
+    row_of = {x.tobytes(): r for r, (x, _) in enumerate(groups)}
+    pairs = np.zeros((len(groups), len(table.structures)))
+    for inst in data.instances:
+        k = table.index.get(inst.y)
+        if k is None:
+            raise WrongSpace(f"label {inst.y} is not a structure of the space")
+        pairs[row_of[inst.x.tobytes()], k] += 1.0
+    xs = np.stack([x.reshape(-1) for x, _ in groups])
+    norms = np.linalg.norm(xs, axis=1)
+    if not norms.all():
+        raise ZeroInput("input feature vector has zero norm")
+    counts = np.array([c for _, c in groups], dtype=float)
+    return _TabledData(xs / norms[:, None], counts, pairs)
+
+
+def _tabled_scores(theta: np.ndarray, tab: _TabledData, table: LabelTable):
+    """(scores X Theta Psi^T, row-wise ln Z) of every unique input."""
+    x_dim, y_dim = tab.xs.shape[1], table.features.shape[1]
+    if theta.size != x_dim * y_dim:
+        raise DimensionMismatch(
+            f"theta has {theta.size} entries, "
+            f"feature map has dimension {x_dim * y_dim}"
+        )
+    scores = (tab.xs @ theta.reshape(x_dim, y_dim)) @ table.features.T
+    top = scores.max(axis=1)
+    log_z = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
+    return scores, log_z
+
+
 def objective(
     theta: np.ndarray,
     data: Dataset,
@@ -140,6 +188,12 @@ def objective(
     if partition_mode not in (EXACT_ORACLE, FPRAS):
         raise ValueError(f"unknown partition mode {partition_mode!r}")
     theta = np.asarray(theta, dtype=float)
+    table = space.label_table
+    if partition_mode == EXACT_ORACLE and table is not None:
+        tab = _tabled_data(data, table)
+        scores, log_z = _tabled_scores(theta, tab, table)
+        loss = float(tab.counts @ log_z) - float((tab.pairs * scores).sum())
+        return lam * float(theta @ theta) + loss / data.m
     params = Params(theta, lam=lam)
     loss = 0.0
     for x, count in _unique_inputs(data):
@@ -169,6 +223,14 @@ def gradient(
 ) -> np.ndarray:
     """2*lam*theta + (1/m) * sum_i (E_{pi}[phi] - phi(x_i, y_i))."""
     theta = np.asarray(theta, dtype=float)
+    table = space.label_table
+    if mode == EXACT_ORACLE and table is not None:
+        tab = _tabled_data(data, table)
+        scores, log_z = _tabled_scores(theta, tab, table)
+        probs = np.exp(scores - log_z[:, None])
+        weights = tab.counts[:, None] * probs - tab.pairs
+        terms = (tab.xs.T @ weights @ table.features).reshape(-1)
+        return 2.0 * lam * theta + terms / data.m
     params = Params(theta, lam=lam)
     expectation = np.zeros_like(theta)
     for x, count in _unique_inputs(data):
@@ -197,6 +259,8 @@ def train(
     the tolerance.  A failed gradient estimate is retried once with a fresh
     stream before the failure propagates.
     """
+    if config.gradient_mode == MCMC:
+        require_rng(rng, "train in mcmc mode")
     dim = joint_features(data.instances[0].x, data.instances[0].y, space).size
     theta = np.zeros(dim)
     radius = config.projection_radius
@@ -280,6 +344,7 @@ def predict_map(
     highest-scoring structure seen anywhere on the trajectory (first visit
     wins ties).  Deterministic given the stream.
     """
+    require_rng(rng, "predict_map")
     base = GibbsTarget(space, params, beta=1.0, x=x)
     state, w_state = _draw_proposal(base, rng)
     best, best_score = state, w_state

@@ -34,6 +34,7 @@ from structprob import (
     make_toy_dataset,
     mixing_time_bound,
     oracle_ratio_moments,
+    oracle_ratio_range,
     random_unit_theta,
     sample_exact_cftp_batch,
     sample_rejection_batch,
@@ -160,19 +161,24 @@ def test_ac5_mixing_bound():
 def test_ac6_variance_and_band_bounds():
     p = 3
     worst_var, checked = 0.0, 0
-    band_ok = True
+    f_min, f_max = float("inf"), 0.0
     for k in range(5):
         target = unit_target(Hypercube(8), seed=1001 + k)
         schedule = build_schedule(1.0, target.params.theta_norm, p)
         for i in range(1, schedule.l + 1):
-            rho, rel_var = oracle_ratio_moments(schedule, i, target)
-            band_ok &= exp(1.0 / p) - 1.0 <= rho <= exp(-1.0 / p) + 1.0
+            _, rel_var = oracle_ratio_moments(schedule, i, target)
             worst_var = max(worst_var, rel_var)
+            lo, hi = oracle_ratio_range(schedule, i, target)
+            f_min, f_max = min(f_min, lo), max(f_max, hi)
             checked += 1
+    # every per-sample value f_i(y), not just its mean, lies in the band
+    band_ok = (exp(-1.0 / p) * (1 - 1e-12) <= f_min
+               and f_max <= exp(1.0 / p) * (1 + 1e-12))
     ok = band_ok and worst_var <= exp(2.0 / p)
     report("AC-6", ok,
            f"{checked} ratio steps: worst rel-var {worst_var:.4f} <= "
-           f"{exp(2.0 / p):.4f}, band held: {band_ok}")
+           f"{exp(2.0 / p):.4f}; f_i range [{f_min:.4f}, {f_max:.4f}] within "
+           f"[{exp(-1.0 / p):.4f}, {exp(1.0 / p):.4f}]: {band_ok}")
 
 
 def test_ac7_gradient_estimator():

@@ -133,6 +133,51 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ]) == 2
 
 
+def test_config_values_are_coerced_by_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "5", "beta": "0.5"}))
+    assert run([
+        "sample", "--space", "hypercube:3", "--seed", "4", "--config", str(cfg),
+    ]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n": "five"},
+    {"n": 5.5},
+    {"n": True},
+    {"beta": [1.0]},
+    {"sampler": "gibbs"},
+    {"space": 3},
+    {"n": None},
+    {"space": None},
+])
+def test_config_values_that_do_not_fit_their_flag(tmp_path, capsys, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    assert run([
+        "sample", "--space", "hypercube:3", "--seed", "4", "--config", str(cfg),
+    ]) == 2
+    assert "config key" in capsys.readouterr().err
+
+
+def test_partition_config_switch_must_be_boolean(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oracle": "yes"}))
+    assert run([
+        "partition", "--space", "hypercube:3", "--seed", "4", "--config", str(cfg),
+    ]) == 2
+
+
+def test_approx_sampler_refuses_an_unrunnable_mixing_bound(capsys):
+    code = run([
+        "sample", "--space", "hypercube:6", "--theta-random", "30",
+        "--norm-budget", "30", "--sampler", "approx", "--seed", "1",
+    ])
+    assert code == 3
+    assert "steps" in capsys.readouterr().err
+
+
 def test_train_and_predict_round_trip(tmp_path, capsys):
     model = tmp_path / "model.json"
     trace = tmp_path / "trace.csv"

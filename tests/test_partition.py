@@ -299,3 +299,16 @@ def test_estimate_gradient_approximate_mode():
         estimate_gradient(target, 10, APPROXIMATE, np.random.default_rng(0))
     with pytest.raises(ValueError):
         estimate_gradient(target, 0, EXACT, np.random.default_rng(0))
+
+
+# ------------------------------------------------------------ missing rng
+
+def test_estimators_refuse_a_missing_rng():
+    target = unit_target(Hypercube(4), seed=90)
+    schedule = build_schedule(1.0, target.params.theta_norm, 3)
+    with pytest.raises(ValueError, match="estimate_partition needs an explicit rng"):
+        estimate_partition(target, 0.3)
+    with pytest.raises(ValueError, match="estimate_ratio needs an explicit rng"):
+        estimate_ratio(1, schedule, target, 10)
+    with pytest.raises(ValueError, match="estimate_gradient needs an explicit rng"):
+        estimate_gradient(target, 10)

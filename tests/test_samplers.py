@@ -2,12 +2,15 @@ from math import exp
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from structprob import (
     EpochBudgetExhausted,
     Hypercube,
     Params,
     Permutations,
+    SamplerFailure,
     SamplerReport,
     chain_state_indices,
     chi_square_gof,
@@ -24,7 +27,7 @@ from structprob import (
     sample_rejection,
     sample_rejection_batch,
 )
-from structprob.samplers import GibbsTarget
+from structprob.samplers import MAX_MIXING_STEPS, GibbsTarget
 
 from helpers import empirical_tv, multinomial_tv_noise
 
@@ -89,6 +92,35 @@ def test_mixing_time_bound_monotone():
         assert t >= prev
         prev = t
     assert mixing_time_bound(2.0, 1.0, 0.01) > mixing_time_bound(1.0, 1.0, 0.01)
+
+
+@given(
+    B=st.floats(0.0, 40.0),
+    extra=st.floats(0.0, 5.0),
+    eps=st.floats(1e-9, 1.0, exclude_max=True),
+)
+def test_mixing_time_bound_finite_and_monotone_in_budget(B, extra, eps):
+    def bound(b):
+        try:
+            return mixing_time_bound(b, 1.0, eps)
+        except SamplerFailure:
+            return None  # refused: above MAX_MIXING_STEPS
+
+    low, high = bound(B), bound(B + extra)
+    if low is None:
+        assert high is None  # a larger budget never needs fewer steps
+        return
+    assert isinstance(low, int) and 1 <= low <= MAX_MIXING_STEPS
+    assert high is None or low <= high
+
+
+def test_mixing_time_bound_refuses_huge_budgets():
+    # at B*R = 18 the bound is about 2e16 steps; at 1000 it used to divide
+    # by a zero that 1 - exp(-2BR) had rounded to
+    with pytest.raises(SamplerFailure, match=r"2\.0e\+16 steps"):
+        mixing_time_bound(18.0, 1.0, 0.01)
+    with pytest.raises(SamplerFailure, match="steps"):
+        mixing_time_bound(1000.0, 1.0, 0.01)
 
 
 def test_mixing_time_bound_rejects_bad_eps():

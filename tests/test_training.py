@@ -186,6 +186,20 @@ def test_train_retries_failed_gradient_once(toy_data, monkeypatch):
         train(toy_data, SPACE, config, rng=np.random.default_rng(152))
 
 
+def test_predict_map_refuses_a_missing_rng():
+    params = Params(np.zeros(4))
+    with pytest.raises(ValueError, match="predict_map needs an explicit rng"):
+        predict_map(SPACE, None, params, AnnealConfig())
+
+
+def test_train_mcmc_mode_refuses_a_missing_rng(toy_data):
+    config = TrainConfig(lam=1.0, max_iters=2, gradient_mode="mcmc")
+    with pytest.raises(ValueError, match="train in mcmc mode needs an explicit rng"):
+        train(toy_data, SPACE, config)
+    # exact mode draws nothing and needs no stream
+    train(toy_data, SPACE, TrainConfig(lam=1.0, max_iters=2))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lam=0.0)
