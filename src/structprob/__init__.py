@@ -66,7 +66,6 @@ from .samplers import (
     GibbsTarget,
     SamplerReport,
     chain_state_indices,
-    meta_step,
     mixing_time_bound,
     sample_approx,
     sample_approx_batch,

@@ -530,8 +530,10 @@ def _validate(args) -> None:
         raise ConfigError(f"eps must be in (0, 1), got {args.eps}")
     if getattr(args, "eps_tv", None) is not None and not 0 < args.eps_tv <= 1:
         raise ConfigError(f"eps-tv must be in (0, 1], got {args.eps_tv}")
-    if getattr(args, "beta", None) is not None and args.beta < 0:
-        raise ConfigError("beta must be non-negative")
+    if getattr(args, "beta", None) is not None and not 0 <= args.beta < float("inf"):
+        raise ConfigError("beta must be finite and non-negative")
+    if getattr(args, "delta", None) is not None and not 0 < args.delta < 1:
+        raise ConfigError(f"delta must be in (0, 1), got {args.delta}")
     if getattr(args, "n", None) is not None and args.n < 1:
         raise ConfigError("n must be >= 1")
 

@@ -43,9 +43,9 @@ class Params:
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("theta must be finite")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lam must be positive")
-        if self.norm_budget is not None and self.norm_budget <= 0:
+        if self.norm_budget is not None and not self.norm_budget > 0:
             raise ValueError("norm_budget must be positive")
 
     @property

@@ -34,8 +34,9 @@ from .samplers import (
     GibbsTarget,
     _approx_batch_indices,
     _cftp_batch_indices,
-    sample_approx,
-    sample_exact_cftp,
+    _logsumexp,
+    _check_expected_proposals,
+    sample_exact_cftp,  # unused here; the benchmark tracer patches this name
 )
 from .spaces import ENUMERATION_CAP
 from .streams import require_rng
@@ -176,23 +177,8 @@ def estimate_ratio(
     if mode == APPROXIMATE and eps_tv is None:
         raise ValueError("approximate mode needs a total-variation budget")
     b_prev, b_cur = schedule.betas[i - 1], schedule.betas[i]
-    tgt = target.at_beta(b_cur)
-    table = tgt.table
-    if table is not None:
-        if mode == EXACT:
-            idx, _ = _cftp_batch_indices(tgt, S, rng, max_epochs)
-        else:
-            idx = _approx_batch_indices(tgt, eps_tv, S, rng)
-        values = np.exp((b_prev - b_cur) * table.scores[idx])
-    else:
-        scores = np.empty(S)
-        for j in range(S):
-            if mode == EXACT:
-                y, _ = sample_exact_cftp(tgt, rng, max_epochs)
-            else:
-                y = sample_approx(tgt, eps_tv, rng)
-            scores[j] = tgt.score(y)
-        values = np.exp((b_prev - b_cur) * scores)
+    _, scores = _draws(target.at_beta(b_cur), S, mode, rng, eps_tv, max_epochs)
+    values = np.exp((b_prev - b_cur) * scores)
     return RatioEstimate(i, float(values.mean()), S, mode)
 
 
@@ -220,6 +206,8 @@ def estimate_partition(
     schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm, p)
     S = sample_size(epsilon, schedule.l, p)
     eps_tv = tv_target(epsilon, schedule.l, p) if mode == APPROXIMATE else None
+    if mode == EXACT:  # certificates get no cheaper as beta rises to 1
+        _check_expected_proposals(target, S)
     ratio_rngs = rng.spawn(schedule.l)
     ratios = []
     log_x = 0.0
@@ -305,24 +293,17 @@ def estimate_gradient(
     if mode == APPROXIMATE and eps_tv is None:
         raise ValueError("approximate mode needs a total-variation budget")
     require_rng(rng, "estimate_gradient")
-    table = target.table
-    if table is not None:
-        if mode == EXACT:
-            idx, _ = _cftp_batch_indices(target, S, rng, max_epochs)
-        else:
-            idx = _approx_batch_indices(target, eps_tv, S, rng)
-        counts = np.bincount(idx, minlength=len(table.structures))
-        d = target.expected_features(counts / S)
-    else:
-        d = np.zeros(target.params.theta.size)
-        for _ in range(S):
-            if mode == EXACT:
-                y, _ = sample_exact_cftp(target, rng, max_epochs)
-            else:
-                y = sample_approx(target, eps_tv, rng)
-            d += target.features(y)
-        d /= S
+    keys, _ = _draws(target, S, mode, rng, eps_tv, max_epochs)
+    d = target.expected_features(np.full(S, 1.0 / S), target.label_rows(keys))
     return GradientEstimate(d=d, sample_size=S, sampler_mode=mode)
+
+
+def _draws(target, S, mode, rng, eps_tv, max_epochs):
+    """(keys, beta-free scores) of S exact or approximate draws from target."""
+    if mode == EXACT:
+        keys, _, scores, _ = _cftp_batch_indices(target, S, rng, max_epochs)
+        return keys, scores
+    return _approx_batch_indices(target, eps_tv, S, rng)
 
 
 def oracle_ratio_moments(
@@ -371,7 +352,3 @@ def _oracle_ratio_scores(schedule, i, target, cap):
         scores = np.array([target.score(y) for y in target.space.enumerate(cap)])
     return schedule.betas[i - 1], schedule.betas[i], scores
 
-
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    return m + log(float(np.exp(v - m).sum()))

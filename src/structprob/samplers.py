@@ -22,10 +22,10 @@ are provably in the same state from that step on.  The certificate can only
 delay detection, never fake it, so exactness is preserved; its expected
 firing depth is at most exp(2*beta*B*R).
 
-Spaces whose structures can all be enumerated cheaply get a score table:
-one matrix-vector product of the space's shared label table with theta
-folded against the input.  The batch entry points use it to run thousands
-of chains as numpy array operations.
+That event is also the rejection sampler's accept.  So both exact samplers
+share one certificate search, CFTP adding a Metropolis replay of the earlier
+steps, and the approximate sampler runs lockstep chains.  All of them draw
+from ``GibbsTarget.propose``; the scalar samplers are batches of one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, exp, expm1, floor, log, log1p
+from math import ceil, exp, expm1, floor, inf, isfinite, log, log1p
 from typing import Optional
 
 import numpy as np
@@ -53,15 +53,13 @@ from .spaces import OutputSpace, Structure
 # microsecond per step even the vectorised kernels would take hours.
 MAX_MIXING_STEPS = 10**9
 
+# Certificate searches expected to draw more proposals than this are refused
+# before their first draw: that is about ten seconds of work on a tabled
+# target and minutes on an untabled one, and CFTP keeps every proposal until
+# its replay.  The largest benchmark request expects about 4.5e5.
+MAX_EXPECTED_PROPOSALS = 10**7
+
 _LN2 = log(2.0)
-
-# Rectangular randomness blocks for batch CFTP are grown per sub-batch of
-# this many runs, keeping peak memory bounded.
-_BATCH_CHUNK = 8192
-
-# Backward windows double up to this many columns per wave, then grow
-# linearly; caps transient memory when coalescence is slow.
-_MAX_WAVE = 4096
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,8 @@ class GibbsTarget:
     x: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not 0 <= self.beta < inf:
+            raise ValueError("beta must be finite and non-negative")
         if self.x is not None:
             object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         expected = feature_dim(self.space, None if self.x is None else self.x.size)
@@ -127,33 +125,87 @@ class GibbsTarget:
         return x / x_norm
 
     @cached_property
-    def table(self) -> Optional[ScoreTable]:
-        """Scores of every structure, from the space's shared label table.
+    def label_weights(self) -> np.ndarray:
+        """v with score(y) = psi_n(y) . v, where psi_n = psi / max||psi||.
 
-        phi(x, y) is x/||x|| (x) psi(y)/max||psi||, so with theta viewed as
-        a (|x|, d_Y) matrix every score is psi_n(y) . v for the single
-        vector v = Theta^T x/||x|| (v = theta in label-only mode).
+        phi(x, y) is x/||x|| (x) psi_n(y), so with theta viewed as a
+        (|x|, d_Y) matrix v = Theta^T x/||x|| (v = theta in label-only mode).
         """
-        labels = self.space.label_table
-        if labels is None:
-            return None
         x = self.unit_input
         v = self.params.theta
         if x is not None:
             v = x @ v.reshape(x.size, -1)
-        return ScoreTable(labels.structures, labels.features @ v, labels.features)
+        return v
 
-    def expected_features(self, probs: np.ndarray) -> np.ndarray:
-        """E[phi] under ``probs``, a distribution over the table's rows.
+    @cached_property
+    def table(self) -> Optional[ScoreTable]:
+        """Scores of every structure, from the space's shared label table."""
+        labels = self.space.label_table
+        if labels is None:
+            return None
+        return ScoreTable(
+            labels.structures, labels.features @ self.label_weights, labels.features
+        )
 
-        By bilinearity E[phi] = x/||x|| (x) (Psi_n^T probs); no joint feature
-        vector is formed.  Requires a score table.
+    def propose(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n uniform proposals as (keys, beta-free scores).
+
+        Keys are table rows on a tabled target and Structure objects (an
+        object array) otherwise; ``structures`` maps them back.
         """
-        psi_mean = self.table.features.T @ probs
+        table = self.table
+        if table is not None:
+            keys = rng.integers(0, len(table.structures), n)
+            return keys, table.scores[keys]
+        sample = self.space.sample_uniform
+        keys = np.fromiter((sample(rng) for _ in range(n)), dtype=object, count=n)
+        return keys, self.label_rows(keys) @ self.label_weights
+
+    def structures(self, keys: np.ndarray) -> list[Structure]:
+        """The structures behind proposal keys."""
+        table = self.table
+        if table is None:
+            return list(keys)
+        return [table.structures[k] for k in keys]
+
+    def label_rows(self, keys: np.ndarray) -> np.ndarray:
+        """psi_n = psi / max||psi|| of the structure behind each key, one row each."""
+        table = self.table
+        if table is not None:
+            return table.features[keys]
+        space = self.space
+        rows = np.array([space.output_features(y) for y in keys], dtype=float)
+        return rows.reshape(len(keys), space.feature_dim) / space.max_feature_norm()
+
+    def expected_features(self, probs: np.ndarray, rows=None) -> np.ndarray:
+        """E[phi] under ``probs``, a distribution over label rows psi_n.
+
+        The rows default to the score table's.  By bilinearity
+        E[phi] = x/||x|| (x) (rows^T probs); no joint feature vector is formed.
+        """
+        psi_mean = (self.table.features if rows is None else rows).T @ probs
         x = self.unit_input
         if x is None:
             return psi_mean
         return np.outer(x, psi_mean).reshape(-1)
+
+    @cached_property
+    def log_rounds_per_certificate(self) -> float:
+        """-ln P(a uniform proposal certifies), P = E_z exp(beta*(s(z) - B*R)).
+
+        Exact on a tabled target; otherwise the bound 2*beta*B*R.
+        """
+        bound = self.beta * self.score_bound
+        if self.table is None:
+            return 2.0 * bound
+        w = self.beta * self.table.scores - bound
+        return log(len(w)) - _logsumexp(w)
+
+    def require_table(self, caller: str) -> ScoreTable:
+        """The score table, or ValueError naming ``caller``."""
+        if self.table is None:
+            raise ValueError(f"{caller} needs a space small enough to tabulate")
+        return self.table
 
     def at_beta(self, beta: float) -> "GibbsTarget":
         """Same space and parameters at a different inverse temperature."""
@@ -183,23 +235,9 @@ class SamplerReport:
 
 
 def _draw_proposal(target: GibbsTarget, rng: np.random.Generator):
-    """Uniform proposal with its beta-free score."""
-    table = target.table
-    if table is not None:
-        i = int(rng.integers(len(table.structures)))
-        return table.structures[i], float(table.scores[i])
-    z = target.space.sample_uniform(rng)
-    return z, target.score(z)
-
-
-def meta_step(
-    current: Structure, target: GibbsTarget, rng: np.random.Generator
-) -> Structure:
-    """One Metropolis transition: uniform proposal, min(1, ratio) acceptance."""
-    z, s_z = _draw_proposal(target, rng)
-    if log(rng.random()) <= target.beta * (s_z - target.score(current)):
-        return z
-    return current
+    """One uniform proposal with its beta-free score."""
+    keys, scores = target.propose(rng, 1)
+    return target.structures(keys)[0], float(scores[0])
 
 
 def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
@@ -233,10 +271,98 @@ def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
     return ceil(log(1.0 / eps_tv) / denom)
 
 
+def _logsumexp(v: np.ndarray) -> float:
+    m = float(np.max(v))
+    return m + log(float(np.exp(v - m).sum()))
+
+
 def _format_log_count(log_n: float) -> str:
     """exp(log_n) in scientific notation, without overflowing."""
+    if not isfinite(log_n):
+        return str(log_n)  # inf, or nan from an infinite score bound
     exponent = floor(log_n / log(10.0))
     return f"{10.0 ** (log_n / log(10.0) - exponent):.1f}e{exponent:+d}"
+
+
+def expected_proposals(target: GibbsTarget, n: int) -> float:
+    """Expected proposals of n certificate runs (CFTP or rejection).
+
+    n / E_z exp(beta*(s(z) - B*R)): exact on a tabled target, and the bound
+    n * exp(2*beta*B*R) otherwise.  inf where the count overflows a float.
+    """
+    log_rounds = target.log_rounds_per_certificate
+    return n * exp(log_rounds) if log_rounds < 700.0 else inf
+
+
+def _check_expected_proposals(target: GibbsTarget, n: int) -> None:
+    """Refuse, before any draw, n certificate runs expected to need more
+    than MAX_EXPECTED_PROPOSALS proposals (raised as EpochBudgetExhausted)."""
+    log_work = log(n) + target.log_rounds_per_certificate if n else -inf
+    if not log_work <= log(MAX_EXPECTED_PROPOSALS):  # nan is refused too
+        raise EpochBudgetExhausted(
+            f"a certificate search for {n} runs at beta*B*R = "
+            f"{target.beta * target.score_bound:.6g} expects about "
+            f"{_format_log_count(log_work)} proposals, above the limit of "
+            f"{MAX_EXPECTED_PROPOSALS:.0e}",
+            SamplerReport(0, 0, None, wall_budget_exhausted=True),
+        )
+
+
+def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator,
+                        max_epochs: int = 40):
+    """First certificates of n runs, with each run's earlier rounds.
+
+    Round r proposes once for every run still open and draws its log u; a
+    run ends at its first hit, log u <= beta*s(z) - beta*B*R, and its depth
+    is that round's number.  Returns (keys, scores, depths, history): the
+    hit proposals, and each round as (open runs, keys, scores, log u, hit).
+    Raises EpochBudgetExhausted when a run has no hit within 2^max_epochs
+    rounds, or up front when the expected work is refused.
+    """
+    _check_expected_proposals(target, n)
+    beta = target.beta
+    bound = beta * target.score_bound
+    horizon = 1 << min(max_epochs, 62)
+    runs = np.arange(n)
+    history = []
+    while True:  # round 1 always runs: it covers every run, even for n = 0
+        z, s_z = target.propose(rng, runs.size)
+        log_u = np.log(rng.random(runs.size))
+        hit = log_u <= beta * s_z - bound
+        history.append((runs, z, s_z, log_u, hit))
+        runs = runs[~hit]
+        if not runs.size:
+            break
+        if len(history) >= horizon:
+            raise EpochBudgetExhausted(
+                f"no coalescence certificate within 2^{max_epochs} steps",
+                SamplerReport(len(history), 0, None, wall_budget_exhausted=True),
+            )
+    keys, scores = history[0][1].copy(), history[0][2].copy()
+    depths = np.empty(n, dtype=np.int64)
+    for depth, (runs, z, s_z, _, hit) in enumerate(history, start=1):
+        ended = runs[hit]
+        keys[ended], scores[ended], depths[ended] = z[hit], s_z[hit], depth
+    return keys, scores, depths, history
+
+
+def _cftp_batch_indices(target, n, rng, max_epochs=40):
+    """n CFTP runs as (keys, certificate depths, scores, accepted moves).
+
+    Each run starts from its first certificate and replays the Metropolis
+    rule through its earlier rounds, latest first, which is forward in time.
+    """
+    keys, scores, depths, history = _certificate_rounds(target, n, rng, max_epochs)
+    beta = target.beta
+    accepted = np.ones(n, dtype=np.int64)
+    for runs, z, s_z, log_u, hit in reversed(history):
+        live = ~hit
+        runs, z, s_z = runs[live], z[live], s_z[live]
+        move = log_u[live] <= beta * s_z - beta * scores[runs]
+        moved = runs[move]
+        keys[moved], scores[moved] = z[move], s_z[move]
+        accepted[moved] += 1
+    return keys, depths, scores, accepted
 
 
 def sample_exact_cftp(
@@ -244,51 +370,16 @@ def sample_exact_cftp(
 ) -> tuple[Structure, SamplerReport]:
     """Exact sample from pi_beta via coupling from the past.
 
-    Scans backwards in time (the backward start epoch doubles as
-    -1, -2, -4, ..., with per-step randomness cached and reused) for the
-    most recent step whose certificate fires, then replays the single
-    surviving trajectory forward to time 0 with the same randomness.
+    Scans backwards in time, one step per round, for the most recent step
+    whose certificate fires, then replays the single surviving trajectory
+    forward to time 0 with the same randomness.  A batch of one.
 
     Raises EpochBudgetExhausted if no certificate occurs within
-    ``max_epochs`` doublings; the caller may retry with a fresh stream.
+    2^max_epochs steps, or before sampling when the expected depth exceeds
+    MAX_EXPECTED_PROPOSALS; the caller may retry with a fresh stream.
     """
-    bound = target.beta * target.score_bound
-    horizon = 1 << min(max_epochs, 62)
-    proposals: list = []
-    weights: list[float] = []
-    log_us: list[float] = []
-    cert = -1
-    while cert < 0:
-        if len(proposals) >= horizon:
-            report = SamplerReport(
-                steps_taken=len(proposals),
-                proposals_accepted=0,
-                coalescence_epoch=None,
-                wall_budget_exhausted=True,
-            )
-            raise EpochBudgetExhausted(
-                f"no coalescence certificate within 2^{max_epochs} steps", report
-            )
-        z, s_z = _draw_proposal(target, rng)
-        lu = log(rng.random())
-        proposals.append(z)
-        weights.append(target.beta * s_z)
-        log_us.append(lu)
-        if lu <= weights[-1] - bound:
-            cert = len(proposals) - 1
-    state, w_state = proposals[cert], weights[cert]
-    accepted = 1
-    for t in range(cert - 1, -1, -1):
-        if log_us[t] <= weights[t] - w_state:
-            state, w_state = proposals[t], weights[t]
-            accepted += 1
-    depth = cert + 1
-    report = SamplerReport(
-        steps_taken=depth,
-        proposals_accepted=accepted,
-        coalescence_epoch=depth,
-    )
-    return state, report
+    keys, (depth,), _, (accepted,) = _cftp_batch_indices(target, 1, rng, max_epochs)
+    return target.structures(keys)[0], SamplerReport(int(depth), int(accepted), int(depth))
 
 
 def sample_exact_cftp_batch(
@@ -297,65 +388,21 @@ def sample_exact_cftp_batch(
     rng: np.random.Generator,
     max_epochs: int = 40,
 ) -> tuple[list[Structure], np.ndarray]:
-    """n independent CFTP samples; returns (samples, certificate depths).
-
-    Uses vectorized chains when the space has a score table, otherwise
-    falls back to sequential single-run CFTP on the same stream.
-    """
-    table = target.table
-    if table is None:
-        samples, depths = [], np.empty(n, dtype=np.int64)
-        for i in range(n):
-            y, rep = sample_exact_cftp(target, rng, max_epochs)
-            samples.append(y)
-            depths[i] = rep.coalescence_epoch
-        return samples, depths
-    idx, depths = _cftp_batch_indices(target, n, rng, max_epochs)
-    return [table.structures[i] for i in idx], depths
+    """n independent CFTP samples; returns (samples, certificate depths)."""
+    keys, depths, _, _ = _cftp_batch_indices(target, n, rng, max_epochs)
+    return target.structures(keys), depths
 
 
-def _cftp_batch_indices(target, n, rng, max_epochs=40):
-    table = target.table
-    w = target.beta * table.scores
-    bound = target.beta * target.score_bound
-    k = len(w)
-    out_idx = np.empty(n, dtype=np.int64)
-    out_depth = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _BATCH_CHUNK):
-        m = min(_BATCH_CHUNK, n - lo)
-        z_hist = np.empty((m, 0), dtype=np.int64)
-        lu_hist = np.empty((m, 0))
-        cert = np.full(m, -1, dtype=np.int64)
-        window, ext, doublings = 0, 1, 0
-        while (cert < 0).any():
-            if doublings > max_epochs:
-                raise EpochBudgetExhausted(
-                    f"no coalescence certificate within 2^{max_epochs} steps",
-                    SamplerReport(window, 0, None, wall_budget_exhausted=True),
-                )
-            z_new = rng.integers(0, k, size=(m, ext))
-            lu_new = np.log(rng.random((m, ext)))
-            z_hist = np.concatenate([z_hist, z_new], axis=1)
-            lu_hist = np.concatenate([lu_hist, lu_new], axis=1)
-            open_runs = np.flatnonzero(cert < 0)
-            hits = lu_new[open_runs] <= w[z_new[open_runs]] - bound
-            found = hits.any(axis=1)
-            first = hits.argmax(axis=1)
-            cert[open_runs[found]] = window + first[found]
-            window += ext
-            ext = min(window, _MAX_WAVE)
-            doublings += 1
-        state = z_hist[np.arange(m), cert]
-        for t in range(int(cert.max()) - 1, -1, -1):
-            active = np.flatnonzero(cert > t)
-            if active.size == 0:
-                continue
-            z_t = z_hist[active, t]
-            accept = lu_hist[active, t] <= w[z_t] - w[state[active]]
-            state[active[accept]] = z_t[accept]
-        out_idx[lo : lo + m] = state
-        out_depth[lo : lo + m] = cert + 1
-    return out_idx, out_depth
+def _chain(target, steps, keys, scores, rng):
+    """Advance len(keys) lockstep Metropolis chains by ``steps`` transitions."""
+    n = len(keys)
+    beta = target.beta
+    for _ in range(steps):
+        z, s_z = target.propose(rng, n)
+        accept = np.log(rng.random(n)) <= beta * s_z - beta * scores
+        keys = np.where(accept, z, keys)
+        scores = np.where(accept, s_z, scores)
+    return keys, scores
 
 
 def sample_approx(
@@ -367,17 +414,9 @@ def sample_approx(
 
     The returned sample's law is within total-variation distance eps_tv of
     pi_beta.  The step count uses the target's budget B and R = 1 without
-    the beta factor, which is conservative for beta < 1.
+    the beta factor, which is conservative for beta < 1.  A batch of one.
     """
-    steps = mixing_time_bound(
-        effective_norm_budget(target.params, target.space), FEATURE_NORM_BOUND, eps_tv
-    )
-    state, w_state = _draw_proposal(target, rng)
-    for _ in range(steps):
-        z, s_z = _draw_proposal(target, rng)
-        if log(rng.random()) <= target.beta * (s_z - w_state):
-            state, w_state = z, s_z
-    return state
+    return sample_approx_batch(target, eps_tv, 1, rng)[0]
 
 
 def sample_approx_batch(
@@ -386,12 +425,8 @@ def sample_approx_batch(
     n: int,
     rng: np.random.Generator,
 ) -> list[Structure]:
-    """n independent approximate samples, vectorized on table targets."""
-    table = target.table
-    if table is None:
-        return [sample_approx(target, eps_tv, rng) for _ in range(n)]
-    idx = _approx_batch_indices(target, eps_tv, n, rng)
-    return [table.structures[i] for i in idx]
+    """n independent approximate samples from lockstep chains."""
+    return target.structures(_approx_batch_indices(target, eps_tv, n, rng)[0])
 
 
 def chain_state_indices(
@@ -405,35 +440,26 @@ def chain_state_indices(
 
     Requires a score table.  ``start`` may be a single state index shared by
     all chains, an array of per-chain start indices, or None for independent
-    uniform starts.  Used both by the approximate sampler and by empirical
-    mixing diagnostics.
+    uniform starts.  Used by empirical mixing diagnostics.
     """
-    table = target.table
-    if table is None:
-        raise ValueError("chain_state_indices needs a space small enough to tabulate")
-    w = target.beta * table.scores
-    k = len(w)
+    table = target.require_table("chain_state_indices")
     if start is None:
-        state = rng.integers(0, k, size=n)
-    elif np.ndim(start) == 0:
-        state = np.full(n, int(start), dtype=np.int64)
+        keys, scores = target.propose(rng, n)
     else:
-        state = np.array(start, dtype=np.int64)
-        if state.shape != (n,):
+        keys = np.array(np.full(n, start) if np.ndim(start) == 0 else start, dtype=np.int64)
+        if keys.shape != (n,):
             raise ValueError("start array must have one entry per chain")
-    for _ in range(steps):
-        z = rng.integers(0, k, size=n)
-        lu = np.log(rng.random(n))
-        accept = lu <= w[z] - w[state]
-        state = np.where(accept, z, state)
-    return state
+        scores = table.scores[keys]
+    return _chain(target, steps, keys, scores, rng)[0]
 
 
 def _approx_batch_indices(target, eps_tv, n, rng):
+    """(keys, scores) of n chains run from uniform starts for the mixing bound."""
     steps = mixing_time_bound(
         effective_norm_budget(target.params, target.space), FEATURE_NORM_BOUND, eps_tv
     )
-    return chain_state_indices(target, steps, n, rng)
+    keys, scores = target.propose(rng, n)
+    return _chain(target, steps, keys, scores, rng)
 
 
 def sample_rejection(
@@ -444,44 +470,15 @@ def sample_rejection(
     A uniform draw z is accepted with probability
     exp(beta * (score(z) - B*R)) <= 1, so accepted draws follow pi_beta
     exactly and the expected number of trials is at most exp(2*beta*B*R).
+    A batch of one.
     """
-    bound = target.beta * target.score_bound
-    trials = 0
-    while True:
-        z, s_z = _draw_proposal(target, rng)
-        trials += 1
-        if log(rng.random()) <= target.beta * s_z - bound:
-            report = SamplerReport(
-                steps_taken=trials, proposals_accepted=1, coalescence_epoch=trials
-            )
-            return z, report
+    (y,), (trials,) = sample_rejection_batch(target, 1, rng)
+    return y, SamplerReport(int(trials), 1, int(trials))
 
 
 def sample_rejection_batch(
     target: GibbsTarget, n: int, rng: np.random.Generator
 ) -> tuple[list[Structure], np.ndarray]:
     """n independent rejection samples; returns (samples, trial counts)."""
-    table = target.table
-    if table is None:
-        samples, trials = [], np.empty(n, dtype=np.int64)
-        for i in range(n):
-            y, rep = sample_rejection(target, rng)
-            samples.append(y)
-            trials[i] = rep.coalescence_epoch
-        return samples, trials
-    w = target.beta * table.scores
-    bound = target.beta * target.score_bound
-    k = len(w)
-    out = np.empty(n, dtype=np.int64)
-    trials = np.zeros(n, dtype=np.int64)
-    pending = np.arange(n)
-    round_no = 0
-    while pending.size:
-        z = rng.integers(0, k, size=pending.size)
-        lu = np.log(rng.random(pending.size))
-        accept = lu <= w[z] - bound
-        out[pending[accept]] = z[accept]
-        round_no += 1
-        trials[pending[accept]] = round_no
-        pending = pending[~accept]
-    return [table.structures[i] for i in out], trials
+    keys, _, trials, _ = _certificate_rounds(target, n, rng)
+    return target.structures(keys), trials

@@ -346,14 +346,15 @@ def predict_map(
     """
     require_rng(rng, "predict_map")
     base = GibbsTarget(space, params, beta=1.0, x=x)
-    state, w_state = _draw_proposal(base, rng)
-    best, best_score = state, w_state
+    best, best_score = _draw_proposal(base, rng)
+    w_state = best_score
+    steps = budget.steps_per_rung
     for beta in budget.ladder():
-        target = base.at_beta(beta)
-        for _ in range(budget.steps_per_rung):
-            z, s_z = _draw_proposal(target, rng)
-            if np.log(rng.random()) <= beta * (s_z - w_state):
-                state, w_state = z, s_z
+        keys, scores = base.propose(rng, steps)
+        log_us = np.log(rng.random(steps)).tolist()
+        for z, s_z, log_u in zip(base.structures(keys), scores.tolist(), log_us):
+            if log_u <= beta * (s_z - w_state):
+                w_state = s_z
                 if s_z > best_score:
                     best, best_score = z, s_z
     return best

@@ -1,8 +1,12 @@
 import json
+import re
+import time
 from math import log
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from structprob import Params, Structure, exact_argmax, save_model
 from structprob.cli import main
@@ -267,3 +271,92 @@ def test_verify_passes(tmp_path):
     assert "hamiltonicity-agreement" in names
     assert "ratio-relative-variance" in names
     assert all(c["pass"] for c in doc["checks"])
+
+
+def test_partition_refuses_hopeless_exact_sampling(capsys):
+    # about 2.5e20 expected proposals: refused with the estimate, not run
+    start = time.perf_counter()
+    code = run([
+        "partition", "--space", "hypercube:6", "--theta-random", "40",
+        "--norm-budget", "40", "--eps", "0.2", "--seed", "1",
+    ])
+    assert code == 3
+    assert time.perf_counter() - start < 5.0
+    assert re.search(r"about \d\.\de\+\d+ proposals", capsys.readouterr().err)
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([1]))
+
+
+def _small_or_hopeless(small):
+    # either cheap to run or far past the sampler refusals: the band in
+    # between is legitimately slow and has no place in a property test
+    return st.one_of(small, st.floats(40.0, 1000.0))
+
+
+def _cli_config(draw, flags):
+    """A --config object: each flag absent or given a good value, and now
+    and then one flag given a bad value or one of the wrong type."""
+    doc = {key: draw(good) for key, (good, _) in flags.items() if draw(st.booleans())}
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(sorted(flags)))
+        doc[key] = draw(st.one_of(flags[key][1], JUNK))
+    return doc
+
+
+def _space_flag(good):
+    return (st.sampled_from(good), st.sampled_from(["cycles:2", "bogus:3", "hypercube:x"]))
+
+
+@st.composite
+def sample_configs(draw):
+    return _cli_config(draw, {
+        "space": _space_flag(["hypercube:3", "permutations:3", "cycles:4", "hypercube:13"]),
+        "theta-random": (_small_or_hopeless(st.floats(-1.5, 1.5)),
+                         st.sampled_from([float("nan"), float("inf"), 1e200])),
+        "norm-budget": (_small_or_hopeless(st.floats(0.1, 1.5)),
+                        st.sampled_from([0.0, -1.0, float("nan"), float("inf")])),
+        "lambda": (st.sampled_from([1.0, 0.5, 1e-12]),
+                   st.sampled_from([0.0, -1.0, 1e-320, float("nan")])),
+        "beta": (st.sampled_from([0.0, 0.5, 1.0, 4.0]),
+                 st.sampled_from([-1.0, float("inf"), float("nan"), 1e300])),
+        "n": (st.integers(1, 3), st.integers(-2, 0)),
+        "sampler": (st.sampled_from(["cftp", "rejection", "approx", "uniform"]),
+                    st.just("gibbs")),
+        "eps-tv": (st.sampled_from([0.05, 0.5, 1.0]), st.sampled_from([0.0, 2.0])),
+        "delta": (st.sampled_from([0.05, 0.5]), st.sampled_from([0.0, 1.0, -0.1])),
+        "max-epochs": (st.integers(0, 6), st.integers(-3, -1)),
+    })
+
+
+@st.composite
+def partition_configs(draw):
+    return _cli_config(draw, {
+        "space": _space_flag(["hypercube:3", "permutations:3", "cycles:4"]),
+        "theta-random": (_small_or_hopeless(st.floats(0.0, 1.5)),
+                         st.sampled_from([float("nan"), float("inf")])),
+        "norm-budget": (_small_or_hopeless(st.floats(0.1, 1.5)),
+                        st.sampled_from([0.0, float("nan"), float("inf")])),
+        "lambda": (st.sampled_from([1.0, 1e-12]),
+                   st.sampled_from([0.0, 1e-320, float("nan"), float("inf")])),
+        "eps": (st.sampled_from([0.5, 0.9]), st.sampled_from([0.0, 1.0, float("nan")])),
+        "p": (st.integers(3, 5), st.integers(-1, 2)),
+        "mode": (st.sampled_from(["exact", "approximate"]), st.just("gibbs")),
+        "runs": (st.integers(1, 2), st.integers(-1, 0)),
+        "delta": (st.sampled_from([0.25, 0.05]), st.sampled_from([0.0, 2.0])),
+        "max-epochs": (st.integers(0, 6), st.integers(-3, -1)),
+        "oracle": (st.booleans(), st.just("yes")),
+    })
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["sample", "partition"]), data=st.data())
+def test_any_config_exits_with_a_documented_code(tmp_path, command, data):
+    doc = data.draw(sample_configs() if command == "sample" else partition_configs())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    code = run([command, "--space", "hypercube:3", "--seed", "3",
+                "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 2, 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from structprob import (
+    EpochBudgetExhausted,
     Hypercube,
     InvalidEpsilon,
     Params,
@@ -299,6 +300,33 @@ def test_estimate_gradient_approximate_mode():
         estimate_gradient(target, 10, APPROXIMATE, np.random.default_rng(0))
     with pytest.raises(ValueError):
         estimate_gradient(target, 0, EXACT, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("mode", [EXACT, APPROXIMATE])
+def test_estimate_gradient_untabled_within_hoeffding_error(mode):
+    # same check as above with the score table dropped, so draws come from
+    # the uniform sampler and features from per-structure label rows
+    space = Hypercube(4)
+    target = unit_target(space, seed=112)
+    grad = exact_gradient(target)
+    target.__dict__["table"] = None
+    S = hoeffding_sample_size(1.0, 1.0, 0.05, 0.05)
+    est = estimate_gradient(target, S, mode, np.random.default_rng(113), eps_tv=0.001)
+    rng = np.random.default_rng(114)
+    violations = 0
+    for _ in range(20):
+        z = random_unit_theta(4, rng)
+        violations += abs(float((est.d - grad) @ z)) > 0.05
+    assert violations <= 1
+
+
+def test_estimate_partition_refuses_hopeless_exact_runs_before_drawing():
+    target = unit_target(Hypercube(6), seed=115, norm=40.0)
+    rng = np.random.default_rng(116)
+    state = rng.bit_generator.state
+    with pytest.raises(EpochBudgetExhausted, match="proposals"):
+        estimate_partition(target, 0.2, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 # ------------------------------------------------------------ missing rng

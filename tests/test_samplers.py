@@ -17,7 +17,6 @@ from structprob import (
     chi_square_two_sample,
     exact_argmax,
     exact_distribution,
-    meta_step,
     mixing_time_bound,
     random_unit_theta,
     sample_approx,
@@ -27,7 +26,14 @@ from structprob import (
     sample_rejection,
     sample_rejection_batch,
 )
-from structprob.samplers import MAX_MIXING_STEPS, GibbsTarget
+from structprob.samplers import (
+    MAX_EXPECTED_PROPOSALS,
+    MAX_MIXING_STEPS,
+    GibbsTarget,
+    _approx_batch_indices,
+    _cftp_batch_indices,
+    expected_proposals,
+)
 
 from helpers import empirical_tv, multinomial_tv_noise
 
@@ -39,28 +45,30 @@ def unit_target(space, seed, norm=1.0, beta=1.0):
 
 # -------------------------------------------------------------- single steps
 
-def test_meta_step_beta_zero_outputs_are_uniform():
+def one_step(target, start, n, seed):
+    """Structures after one Metropolis transition of n chains from ``start``."""
+    ends = chain_state_indices(target, 1, n, np.random.default_rng(seed), start=start)
+    return target.structures(ends)
+
+
+def test_one_step_beta_zero_outputs_are_uniform():
     # acceptance probability is identically 1, so one step from any state
     # reproduces the uniform proposal distribution
     space = Hypercube(4)
     target = GibbsTarget(space, Params(np.zeros(4)), beta=0.0)
     dist = exact_distribution(target)
-    current = next(iter(space.enumerate()))
-    rng = np.random.default_rng(41)
-    outputs = [meta_step(current, target, rng) for _ in range(50_000)]
+    outputs = one_step(target, 0, 50_000, seed=41)
     assert chi_square_gof(outputs, dist, 0.01).passed
 
 
-def test_meta_step_always_accepts_uphill():
+def test_one_step_always_accepts_uphill():
     # from the lowest-scoring state every proposal has ratio >= 1, so the
     # step always moves to the proposal: outputs are exactly uniform
     space = Hypercube(4)
     target = unit_target(space, seed=42)
-    scores = target.table.scores
-    current = target.table.structures[int(np.argmin(scores))]
+    lowest = int(np.argmin(target.table.scores))
     uniform = exact_distribution(target.at_beta(0.0))
-    rng = np.random.default_rng(43)
-    outputs = [meta_step(current, target, rng) for _ in range(50_000)]
+    outputs = one_step(target, lowest, 50_000, seed=43)
     assert chi_square_gof(outputs, uniform, 0.01).passed
 
 
@@ -332,7 +340,122 @@ def test_argmax_state_is_sticky_at_high_beta():
     space = Hypercube(4)
     target = unit_target(space, seed=80, beta=1.0)
     best = exact_argmax(target)
-    high = target.at_beta(8.0)
-    rng = np.random.default_rng(81)
-    stays = sum(meta_step(best, high, rng) == best for _ in range(500))
+    start = target.table.structures.index(best)
+    stays = sum(y == best for y in one_step(target.at_beta(8.0), start, 500, seed=81))
     assert stays >= 400
+
+
+# ------------------------------------------------------------ one kernel
+
+def untabled(target):
+    """The same target with its score table dropped: proposals then come
+    from the space's uniform sampler and are scored from label features."""
+    target.__dict__["table"] = None
+    return target
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_scalar_samplers_are_batches_of_one(tabled):
+    target = unit_target(Permutations(4), seed=82, norm=1.5)
+    if not tabled:
+        target = untabled(target)
+    for seed in range(5):
+        y, report = sample_exact_cftp(target, np.random.default_rng(seed))
+        ys, depths = sample_exact_cftp_batch(target, 1, np.random.default_rng(seed))
+        assert [y] == ys and report.coalescence_epoch == depths[0]
+        y, report = sample_rejection(target, np.random.default_rng(seed))
+        ys, trials = sample_rejection_batch(target, 1, np.random.default_rng(seed))
+        assert [y] == ys and report.steps_taken == trials[0]
+        y = sample_approx(target, 0.1, np.random.default_rng(seed))
+        assert [y] == sample_approx_batch(target, 0.1, 1, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_rejection_trials_equal_cftp_depths(tabled):
+    # both samplers run the same certificate search on the same stream
+    target = unit_target(Hypercube(5), seed=83, norm=1.2)
+    if not tabled:
+        target = untabled(target)
+    _, trials = sample_rejection_batch(target, 400, np.random.default_rng(84))
+    _, depths = sample_exact_cftp_batch(target, 400, np.random.default_rng(84))
+    assert np.array_equal(trials, depths)
+
+
+def test_max_epochs_bounds_certificate_rounds_exactly():
+    # max_epochs = k refuses exactly the batches with a run deeper than 2^k
+    target = unit_target(Hypercube(6), seed=85)
+    ys, depths = sample_exact_cftp_batch(target, 300, np.random.default_rng(86))
+    deepest = int(depths.max())
+    assert deepest > 1
+    for k in range(deepest.bit_length() + 1):
+        if deepest > 2**k:
+            with pytest.raises(EpochBudgetExhausted):
+                sample_exact_cftp_batch(target, 300, np.random.default_rng(86), k)
+        else:
+            again = sample_exact_cftp_batch(target, 300, np.random.default_rng(86), k)
+            assert again[0] == ys and np.array_equal(again[1], depths)
+    # every run certifies in round 1 = 2^0 at beta = 0
+    zero = target.at_beta(0.0)
+    _, ones = sample_exact_cftp_batch(zero, 300, np.random.default_rng(87), 0)
+    assert ones.max() == 1
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_empty_batches(tabled):
+    target = unit_target(Hypercube(3), seed=88)
+    if not tabled:
+        target = untabled(target)
+    rng = np.random.default_rng(89)
+    ys, depths = sample_exact_cftp_batch(target, 0, rng)
+    assert ys == [] and depths.shape == (0,)
+    ys, trials = sample_rejection_batch(target, 0, rng)
+    assert ys == [] and trials.shape == (0,)
+    assert sample_approx_batch(target, 0.1, 0, rng) == []
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_kernel_scores_match_target_scores(tabled):
+    x = np.array([0.3, -1.2, 0.5])
+    theta = random_unit_theta(3 * 5, np.random.default_rng(90), 1.3)
+    target = GibbsTarget(Hypercube(5), Params(theta, norm_budget=1.3), beta=0.7, x=x)
+    if not tabled:
+        target = untabled(target)
+    keys, _, scores, _ = _cftp_batch_indices(target, 200, np.random.default_rng(91))
+    approx_keys, approx_scores = _approx_batch_indices(
+        target, 0.1, 200, np.random.default_rng(92))
+    for ks, ss in ((keys, scores), (approx_keys, approx_scores)):
+        expected = [target.score(y) for y in target.structures(ks)]
+        np.testing.assert_allclose(ss, expected, rtol=0, atol=1e-12)
+
+
+def test_untabled_batch_samplers_match_oracle():
+    space = Hypercube(3)
+    dist = exact_distribution(unit_target(space, seed=93, norm=0.5))
+    target = untabled(unit_target(space, seed=93, norm=0.5))
+    ys, _ = sample_exact_cftp_batch(target, 20_000, np.random.default_rng(94))
+    assert chi_square_gof(ys, dist, 0.01).passed
+    ys, _ = sample_rejection_batch(target, 20_000, np.random.default_rng(95))
+    assert chi_square_gof(ys, dist, 0.01).passed
+    # a 1e-3 TV budget is far below the resolution of 10k draws
+    ys = sample_approx_batch(target, 1e-3, 10_000, np.random.default_rng(96))
+    assert chi_square_gof(ys, dist, 0.01).passed
+
+
+def test_hopeless_certificate_search_is_refused_up_front():
+    space = Hypercube(6)
+    target = unit_target(space, seed=97, norm=40.0)
+    assert expected_proposals(target, 1) > MAX_EXPECTED_PROPOSALS
+    with pytest.raises(EpochBudgetExhausted, match=r"e\+\d+ proposals"):
+        sample_exact_cftp_batch(target, 10, np.random.default_rng(98))
+    with pytest.raises(EpochBudgetExhausted, match="proposals"):
+        sample_rejection(untabled(target), np.random.default_rng(98))
+
+
+def test_expected_proposals_is_the_mean_certificate_depth():
+    target = unit_target(Hypercube(6), seed=99, norm=1.5)
+    n = 20_000
+    _, depths = sample_exact_cftp_batch(target, n, np.random.default_rng(100))
+    # tabled: the exact geometric mean; untabled: the exp(2*beta*B*R) bound
+    assert depths.sum() == pytest.approx(expected_proposals(target, n), rel=0.05)
+    bounded = untabled(unit_target(Hypercube(6), seed=99, norm=1.5))
+    assert expected_proposals(bounded, n) == pytest.approx(n * exp(3.0))
