@@ -41,8 +41,10 @@ class Params:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        if not np.all(np.isfinite(self.theta)):
-            raise ValueError("theta must be finite")
+        with np.errstate(over="ignore"):  # finite entries can overflow the norm
+            norm = self.theta_norm  # not finite either with an inf or nan entry
+        if not np.isfinite(norm):
+            raise ValueError(f"theta must be finite with a finite norm, got {norm}")
         if not self.lam > 0:
             raise ValueError("lam must be positive")
         if self.norm_budget is not None and not self.norm_budget > 0:
@@ -79,9 +81,6 @@ class Dataset:
         return len(self.instances)
 
 
-LABEL_ONLY_X = np.ones(1)  # scalar pseudo-input for label-only feature maps
-
-
 def joint_features(
     x: np.ndarray | None,
     y: Structure,
@@ -103,13 +102,6 @@ def joint_features(
         raise ZeroInput("input feature vector has zero norm")
     scale = x_norm * space.max_feature_norm()
     return np.outer(x, psi).reshape(-1) / scale
-
-
-def feature_dim(space: OutputSpace, x_dim: int | None = None) -> int:
-    """Dimension of the joint feature vector (label-only if x_dim is None)."""
-    if x_dim is None:
-        return space.feature_dim
-    return x_dim * space.feature_dim
 
 
 def score(theta: np.ndarray, phi: np.ndarray) -> float:

@@ -4,9 +4,12 @@ Everything here works by exhaustive enumeration at desk scale: exact log
 partition values, exact gradients and distributions, an exact MAP argmax,
 and a graph-Hamiltonicity decision driven entirely by a partition-value
 threshold over the cycle space.  These are the oracles the samplers and
-estimators are validated against; none of them share code with the
-estimation paths they check beyond a small space's score table and its
-expectation map, which the tests check against per-structure joint features.
+estimators are validated against.  Each one reads the target's full score
+table (``GibbsTarget.full_table``): scores Psi_n v over the space's label
+matrix, cached for small spaces and built afresh up to the enumeration cap.
+They share no code with the estimation paths they check beyond that table
+and its expectation map, which the tests check against per-structure joint
+features.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from .errors import InsufficientSamples
+from .model import Params
 from .samplers import GibbsTarget
 from .spaces import (
     ENUMERATION_CAP,
@@ -31,13 +35,9 @@ from .spaces import (
 
 
 def _beta_scores(target: GibbsTarget, cap: int):
-    """(structures, beta-scaled scores) over the full space."""
-    table = target.table
-    if table is not None:
-        return table.structures, target.beta * table.scores
-    structures = tuple(target.space.enumerate(cap))
-    scores = target.beta * np.array([target.score(y) for y in structures])
-    return structures, scores
+    """(full score table, beta-scaled scores) over the whole space."""
+    table = target.full_table(cap)
+    return table, target.beta * table.scores
 
 
 def exact_partition(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> float:
@@ -48,14 +48,9 @@ def exact_partition(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> float:
 
 def exact_gradient(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """Gradient of ln Z: the probability-weighted mean of joint features."""
-    structures, scores = _beta_scores(target, cap)
+    table, scores = _beta_scores(target, cap)
     probs = np.exp(scores - logsumexp(scores))
-    if target.table is not None:
-        return target.expected_features(probs)
-    grad = np.zeros(target.params.theta.size)
-    for y, p in zip(structures, probs):
-        grad += p * target.features(y)
-    return grad
+    return target.expected_features(probs, table.features)
 
 
 @dataclass(frozen=True)
@@ -77,15 +72,15 @@ class ExactDistribution:
 def exact_distribution(
     target: GibbsTarget, cap: int = ENUMERATION_CAP
 ) -> ExactDistribution:
-    structures, scores = _beta_scores(target, cap)
+    table, scores = _beta_scores(target, cap)
     log_z = float(logsumexp(scores))
-    return ExactDistribution(tuple(structures), np.exp(scores - log_z), log_z)
+    return ExactDistribution(table.structures, np.exp(scores - log_z), log_z)
 
 
 def exact_argmax(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> Structure:
     """Highest-scoring structure; ties go to the first in canonical order."""
-    structures, scores = _beta_scores(target, cap)
-    return structures[int(np.argmax(scores))]
+    table, scores = _beta_scores(target, cap)
+    return table.structures[int(np.argmax(scores))]
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +117,10 @@ def hamiltonicity_via_partition(edges, n: int) -> bool:
         if not 0 <= u < v < n:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         theta[_pair_index(u, v, n)] = weight
-    # raw (unnormalized) edge-indicator scores, so each cycle contributes
-    # exactly weight-per-graph-edge it uses
-    scores = [
-        sum(theta[_pair_index(u, v, n)] for u, v in y.payload)
-        for y in space.enumerate()
-    ]
-    log_z = float(logsumexp(scores))
+    # scaling theta by max||psi|| undoes the label normalization, so each
+    # cycle scores exactly weight-per-graph-edge it uses
+    theta *= space.max_feature_norm()
+    log_z = exact_partition(GibbsTarget(space, Params(theta)))
     return log_z >= n * weight - 1e-9
 
 

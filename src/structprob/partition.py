@@ -23,7 +23,7 @@ ln|Y| - sum_i ln(mean_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, log
+from math import ceil, exp, isfinite, log, ulp
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ from .model import FEATURE_NORM_BOUND, ln_count
 from .samplers import (
     GibbsTarget,
     _approx_batch_indices,
+    _approx_steps,
     _cftp_batch_indices,
     _logsumexp,
     _check_expected_proposals,
@@ -79,18 +80,30 @@ def build_schedule(R: float, theta_norm: float, p: int = 3) -> CoolingSchedule:
     theta_norm yields the trivial schedule (0, 1), for which every ratio
     draw equals 1 and the estimate is ln|Y| exactly.
     """
+    q, n = _grid(R, theta_norm, p)
+    betas = (0.0,) + tuple(j / q for j in range(1, n + 1)) + (1.0,)
+    return CoolingSchedule(betas, p, max(q, 0.0))
+
+
+def _grid(R: float, theta_norm: float, p: int) -> tuple[float, int]:
+    """(q, n): q = p*R*theta_norm, and n grid points j/q < 1.0 (j >= 1).
+
+    In floating point j/q < 1.0 holds exactly when float(j) < q, so
+    n = ceil(q) - 1 up to 2^53; above that a bisection over the last float
+    spacing below q finds the largest j that still rounds below q.
+    """
     if p < 3:
         raise ValueError("p must be an integer >= 3")
     q = p * R * theta_norm
+    if not isfinite(q):
+        raise ValueError(f"schedule scale p*R*||theta|| = {q} is not finite")
     if q <= 0.0:
-        return CoolingSchedule((0.0, 1.0), p, 0.0)
-    betas = [0.0]
-    j = 1
-    while j / q < 1.0:
-        betas.append(j / q)
-        j += 1
-    betas.append(1.0)
-    return CoolingSchedule(tuple(betas), p, q)
+        return q, 0
+    lo, hi = max(ceil(q) - 1 - int(ulp(q)), 0), ceil(q) - 1
+    while lo < hi:  # j = lo is kept, no j above hi is
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid / q < 1.0 else (lo, mid - 1)
+    return q, lo
 
 
 def sample_size(epsilon: float, l: int, p: int) -> int:
@@ -203,12 +216,17 @@ def estimate_partition(
     if target.beta != 1.0:
         raise ValueError("partition estimation expects a target at beta = 1")
     require_rng(rng, "estimate_partition")
-    schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm, p)
-    S = sample_size(epsilon, schedule.l, p)
-    eps_tv = tv_target(epsilon, schedule.l, p) if mode == APPROXIMATE else None
-    if mode == EXACT:  # certificates get no cheaper as beta rises to 1
+    # refuse hopeless work before the grid or any draw: certificates get no
+    # cheaper as beta rises to 1, and every chain runs the same mixing bound
+    l = 1 + _grid(FEATURE_NORM_BOUND, target.params.theta_norm, p)[1]
+    S = sample_size(epsilon, l, p)
+    eps_tv = tv_target(epsilon, l, p) if mode == APPROXIMATE else None
+    if mode == EXACT:
         _check_expected_proposals(target, S)
-    ratio_rngs = rng.spawn(schedule.l)
+    else:
+        _approx_steps(target, eps_tv, S)
+    schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm, p)
+    ratio_rngs = rng.spawn(l)
     ratios = []
     log_x = 0.0
     for i in range(1, schedule.l + 1):
@@ -266,9 +284,6 @@ class GradientEstimate:
     d: np.ndarray
     sample_size: int
     sampler_mode: str
-    epsilon: Optional[float] = None
-    delta: Optional[float] = None
-    direction_bound: float = 1.0
 
 
 def hoeffding_sample_size(R: float, G: float, epsilon: float, delta: float) -> int:
@@ -345,10 +360,5 @@ def _oracle_ratio_scores(schedule, i, target, cap):
     """(b_{i-1}, b_i, score of every structure) for ratio i."""
     if not 1 <= i <= schedule.l:
         raise ValueError(f"ratio index {i} outside 1..{schedule.l}")
-    table = target.table
-    if table is not None:
-        scores = table.scores
-    else:
-        scores = np.array([target.score(y) for y in target.space.enumerate(cap)])
-    return schedule.betas[i - 1], schedule.betas[i], scores
+    return schedule.betas[i - 1], schedule.betas[i], target.full_table(cap).scores
 

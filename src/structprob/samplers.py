@@ -43,20 +43,21 @@ from .model import (
     FEATURE_NORM_BOUND,
     Params,
     effective_norm_budget,
-    feature_dim,
     joint_features,
     score,
 )
-from .spaces import OutputSpace, Structure
+from .spaces import ENUMERATION_CAP, LabelTable, OutputSpace, Structure
 
 # Chain lengths above this are refused instead of run: at roughly a
 # microsecond per step even the vectorised kernels would take hours.
 MAX_MIXING_STEPS = 10**9
 
-# Certificate searches expected to draw more proposals than this are refused
-# before their first draw: that is about ten seconds of work on a tabled
-# target and minutes on an untabled one, and CFTP keeps every proposal until
-# its replay.  The largest benchmark request expects about 4.5e5.
+# Certificate searches expected to draw more proposals than this, and
+# approximate batches whose chains would make more, are refused before their
+# first draw: that is about ten seconds of work on a tabled target and
+# minutes on an untabled one, and CFTP keeps every proposal until its
+# replay.  The largest benchmark requests expect about 4.5e5 (certificates)
+# and 2.0e6 (approximate chains).
 MAX_EXPECTED_PROPOSALS = 10**7
 
 _LN2 = log(2.0)
@@ -64,10 +65,10 @@ _LN2 = log(2.0)
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Full enumeration of a small space with beta-free scores.
+    """Full enumeration of a space with beta-free scores.
 
-    ``structures`` and ``features`` are the space's shared label table;
-    only ``scores`` belongs to the target.
+    ``structures`` and ``features`` are the space's label matrix, shared
+    when the space caches it; only ``scores`` belongs to the target.
     """
 
     structures: tuple[Structure, ...]
@@ -94,19 +95,16 @@ class GibbsTarget:
             raise ValueError("beta must be finite and non-negative")
         if self.x is not None:
             object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        expected = feature_dim(self.space, None if self.x is None else self.x.size)
+        expected = self.space.feature_dim * (1 if self.x is None else self.x.size)
         if self.params.theta.size != expected:
             raise DimensionMismatch(
                 f"theta has {self.params.theta.size} entries, "
                 f"feature map has dimension {expected}"
             )
 
-    def features(self, y: Structure) -> np.ndarray:
-        return joint_features(self.x, y, self.space, label_only=self.x is None)
-
     def score(self, y: Structure) -> float:
         """Beta-free score <phi(x, y), theta>."""
-        return score(self.params.theta, self.features(y))
+        return score(self.params.theta, joint_features(self.x, y, self.space))
 
     @cached_property
     def score_bound(self) -> float:
@@ -141,8 +139,14 @@ class GibbsTarget:
     def table(self) -> Optional[ScoreTable]:
         """Scores of every structure, from the space's shared label table."""
         labels = self.space.label_table
-        if labels is None:
-            return None
+        return None if labels is None else self._scored(labels)
+
+    def full_table(self, cap: int = ENUMERATION_CAP) -> ScoreTable:
+        """The score table, else one scored from a fresh ``space.labels(cap)``."""
+        table = self.table
+        return self._scored(self.space.labels(cap)) if table is None else table
+
+    def _scored(self, labels: LabelTable) -> ScoreTable:
         return ScoreTable(
             labels.structures, labels.features @ self.label_weights, labels.features
         )
@@ -171,19 +175,15 @@ class GibbsTarget:
     def label_rows(self, keys: np.ndarray) -> np.ndarray:
         """psi_n = psi / max||psi|| of the structure behind each key, one row each."""
         table = self.table
-        if table is not None:
-            return table.features[keys]
-        space = self.space
-        rows = np.array([space.output_features(y) for y in keys], dtype=float)
-        return rows.reshape(len(keys), space.feature_dim) / space.max_feature_norm()
+        return self.space.label_rows(keys) if table is None else table.features[keys]
 
-    def expected_features(self, probs: np.ndarray, rows=None) -> np.ndarray:
+    def expected_features(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """E[phi] under ``probs``, a distribution over label rows psi_n.
 
-        The rows default to the score table's.  By bilinearity
-        E[phi] = x/||x|| (x) (rows^T probs); no joint feature vector is formed.
+        By bilinearity E[phi] = x/||x|| (x) (rows^T probs); no joint feature
+        vector is formed.
         """
-        psi_mean = (self.table.features if rows is None else rows).T @ probs
+        psi_mean = rows.T @ probs
         x = self.unit_input
         if x is None:
             return psi_mean
@@ -200,12 +200,6 @@ class GibbsTarget:
             return 2.0 * bound
         w = self.beta * self.table.scores - bound
         return log(len(w)) - _logsumexp(w)
-
-    def require_table(self, caller: str) -> ScoreTable:
-        """The score table, or ValueError naming ``caller``."""
-        if self.table is None:
-            raise ValueError(f"{caller} needs a space small enough to tabulate")
-        return self.table
 
     def at_beta(self, beta: float) -> "GibbsTarget":
         """Same space and parameters at a different inverse temperature."""
@@ -442,7 +436,9 @@ def chain_state_indices(
     all chains, an array of per-chain start indices, or None for independent
     uniform starts.  Used by empirical mixing diagnostics.
     """
-    table = target.require_table("chain_state_indices")
+    table = target.table
+    if table is None:
+        raise ValueError("chain_state_indices needs a space small enough to tabulate")
     if start is None:
         keys, scores = target.propose(rng, n)
     else:
@@ -453,11 +449,24 @@ def chain_state_indices(
     return _chain(target, steps, keys, scores, rng)[0]
 
 
-def _approx_batch_indices(target, eps_tv, n, rng):
-    """(keys, scores) of n chains run from uniform starts for the mixing bound."""
+def _approx_steps(target, eps_tv, n):
+    """The mixing bound each of n chains runs, refused (SamplerFailure) when
+    the n*(steps + 1) proposals exceed MAX_EXPECTED_PROPOSALS."""
     steps = mixing_time_bound(
         effective_norm_budget(target.params, target.space), FEATURE_NORM_BOUND, eps_tv
     )
+    if n * (steps + 1) > MAX_EXPECTED_PROPOSALS:
+        raise SamplerFailure(
+            f"{n} approximate draws of {steps} steps each need about "
+            f"{n * (steps + 1):.1e} proposals, above the limit of "
+            f"{MAX_EXPECTED_PROPOSALS:.0e}"
+        )
+    return steps
+
+
+def _approx_batch_indices(target, eps_tv, n, rng):
+    """(keys, scores) of n chains run from uniform starts for the mixing bound."""
+    steps = _approx_steps(target, eps_tv, n)
     keys, scores = target.propose(rng, n)
     return _chain(target, steps, keys, scores, rng)
 

@@ -14,11 +14,13 @@ bits quickly), and sampling decisions driven by those counts are made with
 exact integer arithmetic so the resulting distributions are exactly uniform.
 
 All spaces are immutable after construction and safe to share across threads;
-every sampling operation takes an explicit ``numpy.random.Generator``.  A
-space with at most ``TABLE_CAP`` structures also carries a label table: its
-structures with their normalized label features, enumerated on first use
-and cached on the instance, so every score table and exact expectation over
-that space reuses one enumeration.
+every sampling operation takes an explicit ``numpy.random.Generator``.
+``OutputSpace.labels`` turns an enumeration into the label matrix: every
+structure with its normalized label features, the one input of every exact
+score, expectation and training pass.  A space with at most ``TABLE_CAP``
+structures caches that matrix on the instance as ``label_table``, so every
+score table over it reuses one enumeration; larger spaces, up to
+``ENUMERATION_CAP``, build it afresh for each exact computation.
 """
 
 from __future__ import annotations
@@ -83,11 +85,6 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
         r = int.from_bytes(rng.bytes(nbytes), "big") & mask
         if r < n:
             return r
-
-
-def _bernoulli(rng: np.random.Generator, num: int, den: int) -> bool:
-    """Exact Bernoulli(num/den) draw using integer arithmetic."""
-    return _randbelow(rng, den) < num
 
 
 @dataclass(frozen=True)
@@ -203,12 +200,12 @@ def subtree_counts(tree: RootedTree) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class LabelTable:
-    """Every structure of a small space with its normalized label features.
+    """Every structure of a space with its normalized label features.
 
     Row k of ``features`` is psi(structures[k]) / max||psi||.  Nothing here
     depends on parameters or inputs: the joint map is bilinear, so the score
     of y under theta and x is ``features[k] @ v`` for one vector v folded
-    from theta and x, and every target on the space shares this table.
+    from theta and x, and every target on the space can share this table.
     """
 
     structures: tuple[Structure, ...]
@@ -252,16 +249,30 @@ class OutputSpace:
     def to_descriptor(self) -> dict:
         raise NotImplementedError
 
-    @cached_property
-    def label_table(self) -> Optional[LabelTable]:
-        """The space's label table, or None above TABLE_CAP structures."""
-        if self.count() > TABLE_CAP:
-            return None
-        structures = tuple(self.enumerate())
-        psi = np.stack([self.output_features(y) for y in structures])
+    def label_rows(self, structures: Sequence[Structure]) -> np.ndarray:
+        """psi(y) / max||psi|| of each structure, filled into one new array."""
+        psi = np.empty((len(structures), self.feature_dim))
+        for row, y in zip(psi, structures):
+            row[:] = self.output_features(y)
         psi /= self.max_feature_norm()
+        return psi
+
+    def labels(self, cap: int = ENUMERATION_CAP) -> LabelTable:
+        """Every structure with its label rows, built afresh.
+
+        Raises CapExceeded above ``cap`` structures before allocating.
+        """
+        structures = tuple(self.enumerate(cap))
+        psi = self.label_rows(structures)
         psi.setflags(write=False)
         return LabelTable(structures, psi)
+
+    @cached_property
+    def label_table(self) -> Optional[LabelTable]:
+        """``labels()`` cached on the instance, or None above TABLE_CAP."""
+        if self.count() > TABLE_CAP:
+            return None
+        return self.labels()
 
     def _check_cap(self, cap: int) -> None:
         if self.count() > cap:
@@ -396,7 +407,7 @@ class Subtrees(OutputSpace):
             v = stack.pop()
             included[v] = 1
             for c in self.tree.children[v]:
-                if _bernoulli(rng, self.g[c], 1 + self.g[c]):
+                if _randbelow(rng, 1 + self.g[c]) < self.g[c]:
                     stack.append(c)
         return Structure(self.kind, tuple(included))
 

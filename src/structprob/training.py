@@ -11,12 +11,15 @@ log-partition terms are either exact (full enumeration) or Monte Carlo
 estimates sized by the Hoeffding bound; instances sharing an input reuse
 one expectation per iteration.
 
-On a space with a label table the exact objective and gradient are one
-batched pass over the unique inputs: with X the unit-norm inputs, Theta the
-parameters as an (|x|, d_Y) matrix and Psi the table's label features, the
+The exact objective and gradient are one batched pass over the unique
+inputs, on every space up to the enumeration cap: with X the unit-norm
+inputs, Theta the parameters as an (|x|, d_Y) matrix and Psi the space's
+label matrix (cached up to TABLE_CAP structures, built per call above), the
 scores of every (input, structure) pair are X Theta Psi^T, each ln Z is a
 row-wise log-sum-exp, and the expectation term is X^T diag(counts) P Psi.
-Larger spaces fall back to one exact oracle call per unique input.
+The observed term sum_i x_i/||x_i|| (x) psi(y_i) is formed once per call.
+Unique inputs go through in blocks whose score matrix holds at most
+_BLOCK_ENTRIES entries, so memory beyond Psi itself stays bounded.
 
 Prediction runs the Metropolis chain along an increasing inverse-temperature
 ladder and returns the best structure visited, which is validated against
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from math import nan
 from typing import Optional
 
 import numpy as np
@@ -41,7 +45,10 @@ from .model import (
     norm_budget_from_space,
     random_unit_theta,
 )
-from .oracle import exact_gradient, exact_partition
+from .oracle import (  # unused here; the benchmark tracer patches these names
+    exact_gradient,
+    exact_partition,
+)
 from .partition import (
     EXACT,
     estimate_gradient,
@@ -49,12 +56,15 @@ from .partition import (
     hoeffding_sample_size,
 )
 from .samplers import GibbsTarget, _draw_proposal, sample_exact_cftp
-from .spaces import TABLE_CAP, LabelTable, OutputSpace, Structure, space_from_descriptor
+from .spaces import TABLE_CAP, OutputSpace, Structure, space_from_descriptor
 from .streams import require_rng
 
 EXACT_ORACLE = "exact"
 FPRAS = "fpras"
 MCMC = "mcmc"
+
+# Most (input, structure) scores the exact pass holds at once: 8 MB.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,11 +72,9 @@ class TrainConfig:
     lam: float = 1.0
     max_iters: int = 100
     step_size: Optional[float] = None  # None: 1/(2*lam + 1), safe for R = 1
-    decay: bool = True  # eta_t = step_size / (1 + t)
     gradient_mode: str = EXACT_ORACLE
     mcmc_epsilon: float = 0.05
     mcmc_delta: float = 0.05
-    sampler_mode: str = EXACT  # per-draw sampler for mcmc gradients
     projection_radius: Optional[float] = None  # None: sqrt(ln|Y| / lam)
     tolerance: float = 1e-6
 
@@ -94,9 +102,6 @@ class TrainTrace:
 
     CSV_HEADER = "iteration,objective,grad_norm,theta_norm,wall_time"
 
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
-
     def objectives(self) -> np.ndarray:
         return np.array([r.objective for r in self.rows])
 
@@ -117,56 +122,58 @@ def _instance_features(data: Dataset, space: OutputSpace) -> np.ndarray:
 
 
 def _unique_inputs(data: Dataset):
-    """Instances grouped by input vector; expectations are shared per group."""
-    groups: dict[bytes, tuple[np.ndarray, int]] = {}
-    for inst in data.instances:
-        key = inst.x.tobytes()
-        if key in groups:
-            x, cnt = groups[key]
-            groups[key] = (x, cnt + 1)
-        else:
-            groups[key] = (inst.x, 1)
-    return list(groups.values())
+    """(inputs, counts, group of each instance): instances grouped by input
+    vector, so that expectations are shared per group."""
+    group_of: dict[bytes, int] = {}
+    groups = [group_of.setdefault(inst.x.tobytes(), len(group_of))
+              for inst in data.instances]
+    xs = {g: inst.x for g, inst in zip(groups, data.instances)}
+    return list(xs.values()), np.bincount(groups), groups
 
 
 @dataclass(frozen=True)
-class _TabledData:
-    """A dataset laid out against a label table for the batched exact pass."""
+class _ExactData:
+    """A dataset laid out against a space's label matrix for the exact pass."""
 
     xs: np.ndarray  # unique inputs scaled to unit norm, u x |x|
     counts: np.ndarray  # instances per unique input
-    pairs: np.ndarray  # u x |Y| counts of observed (input, label) pairs
+    observed: np.ndarray  # sum_i x_i/||x_i|| (x) psi_n(y_i), |x| x d_Y
+    features: np.ndarray  # the label matrix Psi_n, |Y| x d_Y
 
 
-def _tabled_data(data: Dataset, table: LabelTable) -> _TabledData:
-    groups = _unique_inputs(data)
-    row_of = {x.tobytes(): r for r, (x, _) in enumerate(groups)}
-    pairs = np.zeros((len(groups), len(table.structures)))
-    for inst in data.instances:
-        k = table.index.get(inst.y)
-        if k is None:
-            raise WrongSpace(f"label {inst.y} is not a structure of the space")
-        pairs[row_of[inst.x.tobytes()], k] += 1.0
-    xs = np.stack([x.reshape(-1) for x, _ in groups])
+def _exact_data(data: Dataset, space: OutputSpace) -> _ExactData:
+    labels = space.label_table
+    if labels is None:
+        labels = space.labels()
+    label_rows = [labels.index.get(inst.y) for inst in data.instances]
+    if None in label_rows:
+        y = data.instances[label_rows.index(None)].y
+        raise WrongSpace(f"label {y} is not a structure of the space")
+    inputs, counts, groups = _unique_inputs(data)
+    xs = np.stack([x.reshape(-1) for x in inputs])
     norms = np.linalg.norm(xs, axis=1)
     if not norms.all():
         raise ZeroInput("input feature vector has zero norm")
-    counts = np.array([c for _, c in groups], dtype=float)
-    return _TabledData(xs / norms[:, None], counts, pairs)
+    xs /= norms[:, None]
+    observed = xs[groups].T @ labels.features[label_rows]
+    return _ExactData(xs, counts, observed, labels.features)
 
 
-def _tabled_scores(theta: np.ndarray, tab: _TabledData, table: LabelTable):
-    """(scores X Theta Psi^T, row-wise ln Z) of every unique input."""
-    x_dim, y_dim = tab.xs.shape[1], table.features.shape[1]
+def _exact_blocks(theta: np.ndarray, ed: _ExactData):
+    """(unique-input slice, scores X Theta Psi^T, row-wise ln Z) per block."""
+    x_dim, y_dim = ed.xs.shape[1], ed.features.shape[1]
     if theta.size != x_dim * y_dim:
         raise DimensionMismatch(
             f"theta has {theta.size} entries, "
             f"feature map has dimension {x_dim * y_dim}"
         )
-    scores = (tab.xs @ theta.reshape(x_dim, y_dim)) @ table.features.T
-    top = scores.max(axis=1)
-    log_z = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
-    return scores, log_z
+    weights = ed.xs @ theta.reshape(x_dim, y_dim)
+    step = max(1, _BLOCK_ENTRIES // len(ed.features))
+    for lo in range(0, len(weights), step):
+        block = slice(lo, lo + step)
+        scores = weights[block] @ ed.features.T
+        top = scores.max(axis=1)
+        yield block, scores, top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
 
 
 def objective(
@@ -188,23 +195,19 @@ def objective(
     if partition_mode not in (EXACT_ORACLE, FPRAS):
         raise ValueError(f"unknown partition mode {partition_mode!r}")
     theta = np.asarray(theta, dtype=float)
-    table = space.label_table
-    if partition_mode == EXACT_ORACLE and table is not None:
-        tab = _tabled_data(data, table)
-        scores, log_z = _tabled_scores(theta, tab, table)
-        loss = float(tab.counts @ log_z) - float((tab.pairs * scores).sum())
+    if partition_mode == EXACT_ORACLE:
+        ed = _exact_data(data, space)
+        loss = sum(float(ed.counts[b] @ z) for b, _, z in _exact_blocks(theta, ed))
+        loss -= float(ed.observed.reshape(-1) @ theta)
         return lam * float(theta @ theta) + loss / data.m
     params = Params(theta, lam=lam)
     loss = 0.0
-    for x, count in _unique_inputs(data):
+    inputs, counts, _ = _unique_inputs(data)
+    for x, count in zip(inputs, counts):
         target = GibbsTarget(space, params, beta=1.0, x=x)
-        if partition_mode == EXACT_ORACLE:
-            ln_z = exact_partition(target)
-        else:
-            ln_z = estimate_partition(
-                target, epsilon, p, sampler_mode, rng
-            ).log_value
-        loss += count * ln_z
+        loss += count * estimate_partition(
+            target, epsilon, p, sampler_mode, rng
+        ).log_value
     phis = _instance_features(data, space)
     loss -= float((phis @ theta).sum())
     return lam * float(theta @ theta) + loss / data.m
@@ -218,29 +221,25 @@ def gradient(
     mode: str = EXACT_ORACLE,
     mcmc_epsilon: float = 0.05,
     mcmc_delta: float = 0.05,
-    sampler_mode: str = EXACT,
     rng: np.random.Generator = None,
 ) -> np.ndarray:
     """2*lam*theta + (1/m) * sum_i (E_{pi}[phi] - phi(x_i, y_i))."""
     theta = np.asarray(theta, dtype=float)
-    table = space.label_table
-    if mode == EXACT_ORACLE and table is not None:
-        tab = _tabled_data(data, table)
-        scores, log_z = _tabled_scores(theta, tab, table)
-        probs = np.exp(scores - log_z[:, None])
-        weights = tab.counts[:, None] * probs - tab.pairs
-        terms = (tab.xs.T @ weights @ table.features).reshape(-1)
+    if mode == EXACT_ORACLE:
+        ed = _exact_data(data, space)
+        expected = np.zeros((ed.xs.shape[1], len(ed.features)))
+        for b, scores, ln_z in _exact_blocks(theta, ed):
+            probs = np.exp(scores - ln_z[:, None])
+            expected += ed.xs[b].T @ (ed.counts[b, None] * probs)
+        terms = (expected @ ed.features - ed.observed).reshape(-1)
         return 2.0 * lam * theta + terms / data.m
     params = Params(theta, lam=lam)
+    S = hoeffding_sample_size(1.0, 1.0, mcmc_epsilon, mcmc_delta)
     expectation = np.zeros_like(theta)
-    for x, count in _unique_inputs(data):
+    inputs, counts, _ = _unique_inputs(data)
+    for x, count in zip(inputs, counts):
         target = GibbsTarget(space, params, beta=1.0, x=x)
-        if mode == EXACT_ORACLE:
-            e_phi = exact_gradient(target)
-        else:
-            S = hoeffding_sample_size(1.0, 1.0, mcmc_epsilon, mcmc_delta)
-            e_phi = estimate_gradient(target, S, sampler_mode, rng).d
-        expectation += count * e_phi
+        expectation += count * estimate_gradient(target, S, EXACT, rng).d
     phis = _instance_features(data, space)
     return 2.0 * lam * theta + (expectation - phis.sum(axis=0)) / data.m
 
@@ -255,9 +254,10 @@ def train(
 
     Starts at theta = 0, steps against the (exact or estimated) gradient
     with eta_t = step_size / (1 + t) and projects onto the radius ball after
-    every update.  Stops at max_iters or when the gradient norm falls below
-    the tolerance.  A failed gradient estimate is retried once with a fresh
-    stream before the failure propagates.
+    every update.  Stops once the gradient norm falls below the tolerance
+    or after max_iters evaluations, taking no step after the last one, so
+    the returned theta is the last trace row's.  A failed gradient estimate
+    is retried once with a fresh stream before the failure propagates.
     """
     if config.gradient_mode == MCMC:
         require_rng(rng, "train in mcmc mode")
@@ -270,46 +270,29 @@ def train(
     if step0 is None:
         step0 = 1.0 / (2.0 * config.lam + 1.0)
     record_objective = space.count() <= TABLE_CAP
+    grad_args = (data, space, config.lam, config.gradient_mode,
+                 config.mcmc_epsilon, config.mcmc_delta, rng)
     trace = TrainTrace()
     start = time.perf_counter()
     for t in range(config.max_iters):
         try:
-            g = _train_gradient(theta, data, space, config, rng)
+            g = gradient(theta, *grad_args)
         except SamplerFailure:
-            g = _train_gradient(theta, data, space, config, rng)
-        obj = (
-            objective(theta, data, space, config.lam)
-            if record_objective
-            else float("nan")
-        )
+            g = gradient(theta, *grad_args)
+        obj = objective(theta, data, space, config.lam) if record_objective else nan
         grad_norm = float(np.linalg.norm(g))
-        trace.append(
+        trace.rows.append(
             TraceRow(t, obj, grad_norm, float(np.linalg.norm(theta)),
                      time.perf_counter() - start)
         )
-        if grad_norm <= config.tolerance:
+        if grad_norm <= config.tolerance or t == config.max_iters - 1:
             break
-        eta = step0 / (1.0 + t) if config.decay else step0
-        theta = theta - eta * g
+        theta = theta - step0 / (1.0 + t) * g
         norm = float(np.linalg.norm(theta))
         if norm > radius:
             theta = theta * (radius / norm)
     params = Params(theta, lam=config.lam, norm_budget=radius)
     return params, trace
-
-
-def _train_gradient(theta, data, space, config, rng):
-    return gradient(
-        theta,
-        data,
-        space,
-        config.lam,
-        mode=config.gradient_mode,
-        mcmc_epsilon=config.mcmc_epsilon,
-        mcmc_delta=config.mcmc_delta,
-        sampler_mode=config.sampler_mode,
-        rng=rng,
-    )
 
 
 @dataclass(frozen=True)

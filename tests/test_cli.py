@@ -8,7 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from structprob import Params, Structure, exact_argmax, save_model
+from structprob import (
+    Params,
+    Structure,
+    exact_argmax,
+    load_model,
+    make_toy_dataset,
+    objective,
+    save_model,
+    stream,
+)
 from structprob.cli import main
 from structprob.samplers import GibbsTarget
 from structprob.spaces import Hypercube
@@ -190,10 +199,16 @@ def test_train_and_predict_round_trip(tmp_path, capsys):
         "--iters", "15", "--seed", "12",
         "--model-out", str(model), "--trace-out", str(trace),
     ]) == 0
-    capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
     lines = trace.read_text().strip().splitlines()
     objs = [float(line.split(",")[1]) for line in lines[1:]]
     assert objs == sorted(objs, reverse=True)
+    # the reported objective is the saved model's
+    params, space, _ = load_model(model)
+    data = make_toy_dataset(space, m=20, rng=stream(12, 3))
+    assert report["iterations"] == len(objs) == 15
+    assert report["final_objective"] == objs[-1] == objective(
+        params.theta, data, space, 1.0)
 
     model2 = tmp_path / "model2.json"
     assert run([
@@ -274,15 +289,25 @@ def test_verify_passes(tmp_path):
 
 
 def test_partition_refuses_hopeless_exact_sampling(capsys):
-    # about 2.5e20 expected proposals: refused with the estimate, not run
+    # about 2.5e20 expected proposals: refused with the estimate, not run;
+    # likewise about 4e12 proposals of approximate chains
+    for space, norm, extra in (("hypercube:6", "40", ["--eps", "0.2"]),
+                               ("hypercube:12", "5", ["--eps", "0.01", "--mode",
+                                                      "approximate"])):
+        start = time.perf_counter()
+        code = run([
+            "partition", "--space", space, "--theta-random", norm,
+            "--norm-budget", norm, "--seed", "1", *extra,
+        ])
+        assert code == 3
+        assert time.perf_counter() - start < 5.0
+        assert re.search(r"about \d\.\de\+\d+ proposals", capsys.readouterr().err)
+    # finite entries whose norm overflows are a configuration error
     start = time.perf_counter()
-    code = run([
-        "partition", "--space", "hypercube:6", "--theta-random", "40",
-        "--norm-budget", "40", "--eps", "0.2", "--seed", "1",
-    ])
-    assert code == 3
+    assert run(["partition", "--space", "hypercube:6", "--theta-random", "1e200",
+                "--seed", "1"]) == 2
     assert time.perf_counter() - start < 5.0
-    assert re.search(r"about \d\.\de\+\d+ proposals", capsys.readouterr().err)
+    assert "finite norm" in capsys.readouterr().err
 
 
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([1]))
@@ -291,7 +316,7 @@ JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([1]))
 def _small_or_hopeless(small):
     # either cheap to run or far past the sampler refusals: the band in
     # between is legitimately slow and has no place in a property test
-    return st.one_of(small, st.floats(40.0, 1000.0))
+    return st.one_of(small, st.floats(40.0, 1000.0), st.floats(1e3, 1e150))
 
 
 def _cli_config(draw, flags):
@@ -334,7 +359,7 @@ def partition_configs(draw):
     return _cli_config(draw, {
         "space": _space_flag(["hypercube:3", "permutations:3", "cycles:4"]),
         "theta-random": (_small_or_hopeless(st.floats(0.0, 1.5)),
-                         st.sampled_from([float("nan"), float("inf")])),
+                         st.sampled_from([float("nan"), float("inf"), 1e200])),
         "norm-budget": (_small_or_hopeless(st.floats(0.1, 1.5)),
                         st.sampled_from([0.0, float("nan"), float("inf")])),
         "lambda": (st.sampled_from([1.0, 1e-12]),

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import exp, log
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from structprob import (
     CapExceeded,
     CyclicPermutations,
+    Dataset,
     Hypercube,
+    Instance,
     InsufficientSamples,
     Params,
     Permutations,
@@ -19,10 +22,12 @@ from structprob import (
     exact_distribution,
     exact_gradient,
     exact_partition,
+    gradient,
     hamiltonicity_via_partition,
     has_hamiltonian_cycle,
     joint_features,
     ln_count,
+    objective,
     random_unit_theta,
 )
 from structprob.samplers import GibbsTarget
@@ -62,6 +67,21 @@ def test_partition_cap():
     target = GibbsTarget(space, Params(np.zeros(24)), beta=1.0)
     with pytest.raises(CapExceeded):
         exact_partition(target, cap=10_000)
+    # above ENUMERATION_CAP every exact path refuses before it allocates
+    data = Dataset((Instance(np.ones(2), Structure("hypercube", (0,) * 24)),))
+    calls = [
+        lambda: exact_partition(target),
+        lambda: exact_gradient(target),
+        lambda: objective(np.zeros(48), data, space, 1.0),
+        lambda: gradient(np.zeros(48), data, space, 1.0),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        with pytest.raises(CapExceeded):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ------------------------------------------------------------- exact gradient

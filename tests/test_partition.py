@@ -1,7 +1,10 @@
+import time
 from math import exp, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structprob import (
     EpochBudgetExhausted,
@@ -10,6 +13,7 @@ from structprob import (
     Params,
     PartitionEstimate,
     Permutations,
+    SamplerFailure,
     TooFewRuns,
     boost_by_median,
     build_schedule,
@@ -26,8 +30,8 @@ from structprob import (
     sample_size,
     tv_target,
 )
-from structprob.partition import APPROXIMATE, EXACT
-from structprob.samplers import GibbsTarget
+from structprob.partition import APPROXIMATE, EXACT, _grid
+from structprob.samplers import GibbsTarget, _approx_batch_indices
 
 
 def unit_target(space, seed, norm=1.0, beta=1.0):
@@ -70,6 +74,49 @@ def test_schedule_gap_invariant():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         build_schedule(1.0, 1.0, p=2)
+    for norm in (float("inf"), float("nan"), 1e308):  # 3 * 1e308 overflows
+        with pytest.raises(ValueError, match="not finite"):
+            build_schedule(1.0, norm, p=3)
+    with pytest.raises(ValueError, match="finite norm"):
+        Params(np.full(4, 1e200))  # finite entries, infinite norm
+
+
+def loop_schedule_betas(R, theta_norm, p):
+    """The grid as a loop over j/q < 1.0, kept as the closed form's reference."""
+    q = p * R * theta_norm
+    if q <= 0.0:
+        return (0.0, 1.0)
+    betas = [0.0]
+    j = 1
+    while j / q < 1.0:
+        betas.append(j / q)
+        j += 1
+    return tuple(betas) + (1.0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta_norm=st.one_of(
+        st.floats(0.0, 500.0),
+        st.integers(0, 500).map(float),
+        st.integers(1, 1500).map(lambda k: k / 3.0),  # q right at an integer
+        st.integers(1, 1500).map(lambda k: np.nextafter(k / 3.0, 0.0)),
+        st.integers(1, 1500).map(lambda k: np.nextafter(k / 3.0, 1e9)),
+    ),
+    R=st.sampled_from([1.0, 0.7, 1.3]),
+    p=st.integers(3, 8),
+)
+def test_closed_form_schedule_matches_the_loop(theta_norm, R, p):
+    theta_norm = float(theta_norm)
+    sched = build_schedule(R, theta_norm, p)
+    assert sched.betas == loop_schedule_betas(R, theta_norm, p)
+
+
+def test_grid_size_of_a_huge_norm_needs_no_loop():
+    # far past 2^53 float(j) rounds, and the loop would run for ages
+    for norm in (2.0**52, 2.0**53 + 2, 2.0**60, 1e20, 1e300):
+        q, n = _grid(1.0, norm, 3)
+        assert n / q < 1.0 and not (n + 1) / q < 1.0
 
 
 # --------------------------------------------------------------- fixed sizes
@@ -326,6 +373,19 @@ def test_estimate_partition_refuses_hopeless_exact_runs_before_drawing():
     state = rng.bit_generator.state
     with pytest.raises(EpochBudgetExhausted, match="proposals"):
         estimate_partition(target, 0.2, rng=rng)
+    assert rng.bit_generator.state == state
+    # a 6e6-step schedule is refused before its grid is built
+    start = time.perf_counter()
+    with pytest.raises(EpochBudgetExhausted, match="proposals"):
+        estimate_partition(unit_target(Hypercube(6), seed=117, norm=2e6), 0.2, rng=rng)
+    assert time.perf_counter() - start < 0.5
+    # approximate mode: S chains of the mixing bound each, refused up front
+    target = unit_target(Hypercube(12), seed=118, norm=5.0)
+    with pytest.raises(SamplerFailure, match=r"about \d\.\de\+\d+ proposals"):
+        estimate_partition(target, 0.01, mode=APPROXIMATE, rng=rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(SamplerFailure, match="proposals"):
+        _approx_batch_indices(target, 1e-3, 10**6, rng)
     assert rng.bit_generator.state == state
 
 

@@ -1,7 +1,9 @@
-"""The per-space label table and the batched exact training pass.
+"""The per-space label matrix and the exact paths built on it.
 
 The references here form every joint feature vector with ``joint_features``,
-one structure at a time, and never touch a label or score table.
+one structure at a time, and never touch a label or score table.  Each
+exact path is also run on an untabled copy of the space (``TABLE_CAP``
+patched to 0), where the label matrix is built afresh for every call.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from scipy.special import logsumexp
 
 import structprob.spaces as spaces_mod
+import structprob.training as training_mod
 from structprob import (
     CyclicPermutations,
     Dataset,
@@ -19,12 +22,17 @@ from structprob import (
     RootedTree,
     Subtrees,
     ZeroInput,
+    build_schedule,
     estimate_gradient,
+    exact_argmax,
+    exact_distribution,
     exact_gradient,
     exact_partition,
     gradient,
     joint_features,
     objective,
+    oracle_ratio_moments,
+    oracle_ratio_range,
     random_unit_theta,
 )
 from structprob.partition import EXACT
@@ -66,31 +74,77 @@ def real_input_dataset(space, seed):
         Instance(xs[r], structures[k]) for r, k in zip(rows, labels)))
 
 
+def untabled_copy(space, monkeypatch):
+    """An equal space with no cached label table (TABLE_CAP patched to 0)."""
+    assert space.label_table is not None  # cache the original's first
+    monkeypatch.setattr(spaces_mod, "TABLE_CAP", 0)
+    fresh = type(space)(*(getattr(space, f) for f in space.__dataclass_fields__))
+    assert fresh.label_table is None
+    return fresh
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
-def test_batched_exact_pass_matches_joint_feature_loop(space):
+def test_batched_exact_pass_matches_joint_feature_loop(space, monkeypatch):
     data = real_input_dataset(space, seed=300)
     rng = np.random.default_rng(301)
-    for lam in (0.3, 1.0):
-        theta = random_unit_theta(X_DIM * space.feature_dim, rng, norm=1.7)
-        want_obj, want_grad = reference_objective_and_gradient(theta, data, space, lam)
-        got_obj = objective(theta, data, space, lam)
-        got_grad = gradient(theta, data, space, lam)
-        np.testing.assert_allclose(got_obj, want_obj, rtol=1e-12)
-        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12)
+    thetas = [(lam, random_unit_theta(X_DIM * space.feature_dim, rng, norm=1.7))
+              for lam in (0.3, 1.0)]
+    one_block = [(objective(theta, data, space, lam), gradient(theta, data, space, lam))
+                 for lam, theta in thetas]
+    untabled = untabled_copy(space, monkeypatch)
+    # one unique input per block: the blocked pass must match the one-block pass
+    for blocks, sp in ((None, space), (None, untabled), (1, space), (1, untabled)):
+        if blocks is not None:
+            monkeypatch.setattr(training_mod, "_BLOCK_ENTRIES", blocks)
+        for (lam, theta), (obj, grad) in zip(thetas, one_block):
+            want_obj, want_grad = reference_objective_and_gradient(theta, data, sp, lam)
+            got_obj = objective(theta, data, sp, lam)
+            got_grad = gradient(theta, data, sp, lam)
+            np.testing.assert_allclose(got_obj, want_obj, rtol=1e-12)
+            np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12)
+            np.testing.assert_allclose(got_obj, obj, rtol=1e-12)
+            np.testing.assert_allclose(got_grad, grad, rtol=1e-12)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 def test_batched_pass_matches_untabled_fallback(space, monkeypatch):
+    # the untabled copy scores a fresh label matrix: every oracle on it must
+    # match both the cached table and a per-structure joint-feature loop
     data = real_input_dataset(space, seed=302)
-    theta = random_unit_theta(X_DIM * space.feature_dim,
-                              np.random.default_rng(303), norm=1.2)
+    rng = np.random.default_rng(303)
+    theta = random_unit_theta(X_DIM * space.feature_dim, rng, norm=1.2)
+    x = rng.normal(size=X_DIM)
     tabled = (objective(theta, data, space, 0.5), gradient(theta, data, space, 0.5))
-    monkeypatch.setattr(spaces_mod, "TABLE_CAP", 0)
-    fresh = type(space)(*(getattr(space, f) for f in space.__dataclass_fields__))
-    assert fresh.label_table is None
+    fresh = untabled_copy(space, monkeypatch)
     untabled = (objective(theta, data, fresh, 0.5), gradient(theta, data, fresh, 0.5))
     np.testing.assert_allclose(tabled[0], untabled[0], rtol=1e-12)
     np.testing.assert_allclose(tabled[1], untabled[1], rtol=1e-12)
+
+    structures = list(fresh.enumerate())
+    feats = np.stack([joint_features(x, y, fresh) for y in structures])
+    scores = feats @ theta
+    schedule = build_schedule(1.0, float(np.linalg.norm(theta)), p=3)
+    for beta in (0.4, 1.0):
+        target = GibbsTarget(fresh, Params(theta), beta=beta, x=x)
+        assert target.table is None
+        ln_z = logsumexp(beta * scores)
+        probs = np.exp(beta * scores - ln_z)
+        np.testing.assert_allclose(exact_partition(target), ln_z, rtol=1e-12)
+        np.testing.assert_allclose(exact_gradient(target), feats.T @ probs, rtol=1e-12)
+        dist = exact_distribution(target)
+        assert list(dist.support) == structures
+        np.testing.assert_allclose(dist.probs, probs, rtol=1e-12)
+        assert exact_argmax(target) == structures[int(np.argmax(scores))]
+    for i in range(1, schedule.l + 1):
+        b_prev, b_cur = schedule.betas[i - 1], schedule.betas[i]
+        f = np.exp((b_prev - b_cur) * scores)
+        w = np.exp(b_cur * scores - logsumexp(b_cur * scores))
+        rho = w @ f
+        got = oracle_ratio_moments(schedule, i, target)
+        np.testing.assert_allclose(got, (rho, (w @ f**2 - rho**2) / rho**2),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(oracle_ratio_range(schedule, i, target),
+                                   (f.min(), f.max()), rtol=1e-12)
 
 
 def test_target_table_scores_and_expectation_match_joint_features():

@@ -145,6 +145,15 @@ def test_train_exact_mode(toy_data):
     assert params.theta_norm <= radius + 1e-12
     # strictly better than the start
     assert objs[-1] < objs[0]
+    # the saved theta is the last one evaluated, under either stop rule
+    assert len(trace.rows) == config.max_iters
+    assert objs[-1] == objective(params.theta, toy_data, SPACE, lam=1.0)
+    loose = TrainConfig(lam=1.0, max_iters=40, tolerance=0.05)
+    params, trace = train(toy_data, SPACE, loose, rng=np.random.default_rng(148))
+    assert trace.rows[-1].grad_norm <= 0.05 < trace.rows[-2].grad_norm
+    assert len(trace.rows) < loose.max_iters
+    assert trace.rows[-1].objective == objective(params.theta, toy_data, SPACE, lam=1.0)
+    assert trace.rows[-1].theta_norm == params.theta_norm
 
 
 def test_train_large_lambda_keeps_theta_in_unit_ball(toy_data):
