@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import ceil, exp, log
+from math import exp, isnan, log
 
 import numpy as np
 
@@ -48,7 +48,9 @@ from .partition import (
 )
 from .samplers import (
     GibbsTarget,
-    mixing_time_bound,
+    _approx_steps,
+    _check_expected_proposals,
+    _check_work,
     sample_approx,
     sample_exact_cftp,
     sample_exact_cftp_batch,
@@ -131,18 +133,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cftp_with_retries(target, rng, delta: float, max_epochs: int):
-    """Retry budget of ceil(ln(1/delta)) fresh streams on top of the first try."""
-    retries = max(0, ceil(log(1.0 / delta)))
-    last = None
-    for _ in range(1 + retries):
-        try:
-            return sample_exact_cftp(target, rng, max_epochs)
-        except SamplerFailure as exc:
-            last = exc
-    raise last
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -150,21 +140,26 @@ def _cftp_with_retries(target, rng, delta: float, max_epochs: int):
 def cmd_sample(args) -> int:
     space = parse_space(args.space)
     target = _target_for(args, space)
+    # price all n draws before the first: one proposal per uniform draw,
+    # steps + 1 per approximate draw, the expected depth per exact draw
+    steps = None
+    if args.sampler == "uniform":
+        _check_work(log(args.n), f"{args.n} uniform draws need")
+    elif args.sampler == "approx":
+        steps = _approx_steps(target, args.eps_tv, args.n)
+    else:
+        _check_expected_proposals(target, args.n)
     rng = stream(args.seed, 1)
     lines = []
     for _ in range(args.n):
-        steps = None
         if args.sampler == "uniform":
             y = space.sample_uniform(rng)
-        elif args.sampler == "cftp":
-            y, report = _cftp_with_retries(target, rng, args.delta, args.max_epochs)
-            steps = report.steps_taken
-        elif args.sampler == "rejection":
-            y, report = sample_rejection(target, rng)
-            steps = report.steps_taken
-        else:  # approx
+        elif args.sampler == "approx":
             y = sample_approx(target, args.eps_tv, rng)
-            steps = mixing_time_bound(target.score_bound, 1.0, args.eps_tv)
+        else:
+            sampler = sample_exact_cftp if args.sampler == "cftp" else sample_rejection
+            y, report = sampler(target, rng)
+            steps = report.steps_taken
         record = {
             "structure": y.to_json(),
             "score": target.score(y),
@@ -187,7 +182,6 @@ def cmd_partition(args) -> int:
             p=args.p,
             mode=mode,
             rng=stream(args.seed, 2, r),
-            max_epochs=args.max_epochs,
             seed=args.seed,
         )
         for r in range(args.runs)
@@ -219,6 +213,7 @@ def cmd_train(args) -> int:
         tolerance=args.tolerance,
     )
     params, trace = train(data, space, config, rng=stream(args.seed, 4))
+    objective = trace.rows[-1].objective  # nan above ENUMERATION_CAP
     save_model(args.model_out, params, space, feature_mode="outer", seed=args.seed)
     if args.trace_out:
         trace.to_csv(args.trace_out)
@@ -227,7 +222,7 @@ def cmd_train(args) -> int:
             {
                 "model": args.model_out,
                 "iterations": len(trace.rows),
-                "final_objective": trace.rows[-1].objective,
+                "final_objective": None if isnan(objective) else objective,
                 "theta_norm": params.theta_norm,
             }
         )
@@ -270,6 +265,8 @@ def run_verification(seed: int = 20240, samples: int = 50_000) -> list[dict]:
     def add(name, ok, detail):
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
+    # the four uniformity checks below draw 4 * samples structures
+    _check_work(log(4 * max(samples, 1)), f"{4 * samples} uniform draws need")
     small_spaces = [
         Hypercube(4),
         Permutations(3),
@@ -405,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--sampler", default="cftp",
                           choices=["cftp", "rejection", "approx", "uniform"])
     p_sample.add_argument("--eps-tv", type=float, default=0.01)
-    p_sample.add_argument("--delta", type=float, default=0.05,
-                          help="CFTP failure probability for the retry budget")
-    p_sample.add_argument("--max-epochs", type=int, default=40)
     p_sample.set_defaults(func=cmd_sample)
 
     p_part = sub.add_parser("partition", help="estimate ln Z")
@@ -418,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--runs", type=int, default=1,
                         help="independent runs combined by their median")
     p_part.add_argument("--delta", type=float, default=0.25)
-    p_part.add_argument("--max-epochs", type=int, default=40)
     p_part.add_argument("--oracle", action="store_true",
                         help="also report the exact value and relative error")
     p_part.set_defaults(func=cmd_partition)

@@ -30,15 +30,12 @@ class SamplerFailure(StructProbError):
 
 
 class EpochBudgetExhausted(SamplerFailure):
-    """CFTP ran out of backward doublings before coalescence.
+    """A sampling request expected to make more than MAX_EXPECTED_PROPOSALS
+    proposals (or chain steps), refused before its first draw.
 
-    Carries the partial ``report`` so callers can decide whether to retry
-    with a fresh stream.
+    The message names the estimate.  The estimate does not depend on the
+    random stream, so a retry would be refused as well.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class TooFewRuns(StructProbError):

@@ -107,11 +107,20 @@ def _grid(R: float, theta_norm: float, p: int) -> tuple[float, int]:
 
 
 def sample_size(epsilon: float, l: int, p: int) -> int:
-    """Per-ratio draws sufficient for the (1 +- eps, 3/4) guarantee."""
+    """Per-ratio draws sufficient for the (1 +- eps, 3/4) guarantee.
+
+    Raises InvalidEpsilon when that count is beyond the largest float.
+    """
     _check_epsilon(epsilon)
     if l < 1:
         raise ValueError("l must be >= 1")
-    return ceil(65.0 * epsilon**-2 * l * exp(2.0 / p))
+    try:  # epsilon**-2 and ceil(inf) both raise OverflowError
+        return ceil(65.0 * epsilon**-2 * l * exp(2.0 / p))
+    except OverflowError:
+        raise InvalidEpsilon(
+            f"epsilon = {epsilon:g} over {l} ratios needs a per-ratio sample "
+            "size beyond the largest float"
+        ) from None
 
 
 def tv_target(epsilon: float, l: int, p: int) -> float:
@@ -174,7 +183,6 @@ def estimate_ratio(
     mode: str = EXACT,
     rng: np.random.Generator = None,
     eps_tv: Optional[float] = None,
-    max_epochs: int = 40,
 ) -> RatioEstimate:
     """Sample mean of f_i over S draws from pi at schedule.betas[i].
 
@@ -190,7 +198,7 @@ def estimate_ratio(
     if mode == APPROXIMATE and eps_tv is None:
         raise ValueError("approximate mode needs a total-variation budget")
     b_prev, b_cur = schedule.betas[i - 1], schedule.betas[i]
-    _, scores = _draws(target.at_beta(b_cur), S, mode, rng, eps_tv, max_epochs)
+    _, scores = _draws(target.at_beta(b_cur), S, mode, rng, eps_tv)
     values = np.exp((b_prev - b_cur) * scores)
     return RatioEstimate(i, float(values.mean()), S, mode)
 
@@ -201,7 +209,6 @@ def estimate_partition(
     p: int = 3,
     mode: str = EXACT,
     rng: np.random.Generator = None,
-    max_epochs: int = 40,
     seed: Optional[int] = None,
 ) -> PartitionEstimate:
     """FPRAS for ln Z(theta) at beta = 1.
@@ -230,9 +237,7 @@ def estimate_partition(
     ratios = []
     log_x = 0.0
     for i in range(1, schedule.l + 1):
-        est = estimate_ratio(
-            i, schedule, target, S, mode, ratio_rngs[i - 1], eps_tv, max_epochs
-        )
+        est = estimate_ratio(i, schedule, target, S, mode, ratio_rngs[i - 1], eps_tv)
         ratios.append(est)
         log_x += log(est.mean)
     return PartitionEstimate(
@@ -288,10 +293,19 @@ class GradientEstimate:
 
 def hoeffding_sample_size(R: float, G: float, epsilon: float, delta: float) -> int:
     """Draws sufficient for |<grad - estimate, z>| <= eps w.p. >= 1 - delta,
-    uniformly over directions z with ||z|| <= G."""
+    uniformly over directions z with ||z|| <= G.
+
+    Raises InvalidEpsilon when that count is beyond the largest float.
+    """
     if min(R, G, epsilon, delta) <= 0 or delta >= 1:
         raise ValueError("R, G, epsilon must be positive and 0 < delta < 1")
-    return ceil(2.0 * R * R * G * G * log(2.0 / delta) / (epsilon * epsilon))
+    try:  # epsilon**2 may underflow to 0, and ceil(inf) raises OverflowError
+        return ceil(2.0 * R * R * G * G * log(2.0 / delta) / (epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):
+        raise InvalidEpsilon(
+            f"epsilon = {epsilon:g} needs a Hoeffding sample size beyond the "
+            "largest float"
+        ) from None
 
 
 def estimate_gradient(
@@ -300,7 +314,6 @@ def estimate_gradient(
     mode: str = EXACT,
     rng: np.random.Generator = None,
     eps_tv: Optional[float] = None,
-    max_epochs: int = 40,
 ) -> GradientEstimate:
     """Mean of joint features over S draws from pi_beta."""
     if S < 1:
@@ -308,15 +321,15 @@ def estimate_gradient(
     if mode == APPROXIMATE and eps_tv is None:
         raise ValueError("approximate mode needs a total-variation budget")
     require_rng(rng, "estimate_gradient")
-    keys, _ = _draws(target, S, mode, rng, eps_tv, max_epochs)
+    keys, _ = _draws(target, S, mode, rng, eps_tv)
     d = target.expected_features(np.full(S, 1.0 / S), target.label_rows(keys))
     return GradientEstimate(d=d, sample_size=S, sampler_mode=mode)
 
 
-def _draws(target, S, mode, rng, eps_tv, max_epochs):
+def _draws(target, S, mode, rng, eps_tv):
     """(keys, beta-free scores) of S exact or approximate draws from target."""
     if mode == EXACT:
-        keys, _, scores, _ = _cftp_batch_indices(target, S, rng, max_epochs)
+        keys, _, scores, _ = _cftp_batch_indices(target, S, rng)
         return keys, scores
     return _approx_batch_indices(target, eps_tv, S, rng)
 

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, EpochBudgetExhausted, SamplerFailure, ZeroInput
+from .errors import DimensionMismatch, EpochBudgetExhausted, ZeroInput
 from .model import (
     FEATURE_NORM_BOUND,
     Params,
@@ -48,16 +48,11 @@ from .model import (
 )
 from .spaces import ENUMERATION_CAP, LabelTable, OutputSpace, Structure
 
-# Chain lengths above this are refused instead of run: at roughly a
-# microsecond per step even the vectorised kernels would take hours.
-MAX_MIXING_STEPS = 10**9
-
-# Certificate searches expected to draw more proposals than this, and
-# approximate batches whose chains would make more, are refused before their
-# first draw: that is about ten seconds of work on a tabled target and
-# minutes on an untabled one, and CFTP keeps every proposal until its
-# replay.  The largest benchmark requests expect about 4.5e5 (certificates)
-# and 2.0e6 (approximate chains).
+# Sampler work expected to exceed this many proposals (or chain steps) is
+# refused before its first draw: that is about ten seconds of work on a
+# tabled target and minutes on an untabled one, and CFTP keeps every proposal
+# until its replay.  The largest benchmark requests expect about 4.5e5
+# (certificates) and 2.0e6 (approximate chains).
 MAX_EXPECTED_PROPOSALS = 10**7
 
 _LN2 = log(2.0)
@@ -213,15 +208,13 @@ class GibbsTarget:
 class SamplerReport:
     """Bookkeeping for a single sampler invocation.
 
-    ``coalescence_epoch`` is the certificate depth for CFTP (how many steps
-    back in time the returned trajectory started) and the number of trials
-    for rejection sampling; absent for samplers without such a notion.
+    ``steps_taken`` is the certificate depth for CFTP (how many steps back
+    in time the returned trajectory started) and the number of trials for
+    rejection sampling.
     """
 
     steps_taken: int
     proposals_accepted: int
-    coalescence_epoch: Optional[int] = None
-    wall_budget_exhausted: bool = False
 
     def __post_init__(self):
         if self.proposals_accepted > self.steps_taken:
@@ -241,8 +234,8 @@ def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
     single step in the degenerate B*R = 0 case, where the first accepted
     proposal is already an exact sample.  For 2BR > ln 2 the denominator is
     evaluated as -log1p(-exp(-2BR)), which stays positive long after
-    1 - exp(-2BR) rounds to 1.  Raises SamplerFailure when the bound exceeds
-    MAX_MIXING_STEPS.
+    1 - exp(-2BR) rounds to 1.  Raises EpochBudgetExhausted when the bound
+    exceeds MAX_EXPECTED_PROPOSALS.
     """
     if not 0 < eps_tv <= 1:
         raise ValueError("eps_tv must be in (0, 1]")
@@ -256,12 +249,7 @@ def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
     # the log of the bound stays finite where the bound itself would not;
     # -ln(1 - e^-a) tends to e^-a, which is what an underflowed denom means
     log_steps = log(log(1.0 / eps_tv)) - (log(denom) if denom > 0.0 else -a)
-    if log_steps > log(MAX_MIXING_STEPS):
-        raise SamplerFailure(
-            f"mixing bound at B*R = {B * R:.6g} is about "
-            f"{_format_log_count(log_steps)} steps, above the limit of "
-            f"{MAX_MIXING_STEPS:.0e}"
-        )
+    _check_work(log_steps, f"the mixing bound at B*R = {B * R:.6g} is", "steps")
     return ceil(log(1.0 / eps_tv) / denom)
 
 
@@ -275,7 +263,10 @@ def _format_log_count(log_n: float) -> str:
     if not isfinite(log_n):
         return str(log_n)  # inf, or nan from an infinite score bound
     exponent = floor(log_n / log(10.0))
-    return f"{10.0 ** (log_n / log(10.0) - exponent):.1f}e{exponent:+d}"
+    mantissa = 10.0 ** (log_n / log(10.0) - exponent)
+    if mantissa >= 9.95:  # would print as 10.0
+        mantissa, exponent = mantissa / 10.0, exponent + 1
+    return f"{mantissa:.1f}e{exponent:+03d}"
 
 
 def expected_proposals(target: GibbsTarget, n: int) -> float:
@@ -288,35 +279,43 @@ def expected_proposals(target: GibbsTarget, n: int) -> float:
     return n * exp(log_rounds) if log_rounds < 700.0 else inf
 
 
-def _check_expected_proposals(target: GibbsTarget, n: int) -> None:
-    """Refuse, before any draw, n certificate runs expected to need more
-    than MAX_EXPECTED_PROPOSALS proposals (raised as EpochBudgetExhausted)."""
-    log_work = log(n) + target.log_rounds_per_certificate if n else -inf
+def _check_work(log_work: float, what: str, unit: str = "proposals") -> None:
+    """Refuse, before any draw, work whose natural log exceeds
+    ln MAX_EXPECTED_PROPOSALS, as EpochBudgetExhausted naming the estimate.
+
+    ``what`` names the request and ends with its verb ("... expects").
+    """
     if not log_work <= log(MAX_EXPECTED_PROPOSALS):  # nan is refused too
         raise EpochBudgetExhausted(
-            f"a certificate search for {n} runs at beta*B*R = "
-            f"{target.beta * target.score_bound:.6g} expects about "
-            f"{_format_log_count(log_work)} proposals, above the limit of "
-            f"{MAX_EXPECTED_PROPOSALS:.0e}",
-            SamplerReport(0, 0, None, wall_budget_exhausted=True),
+            f"{what} about {_format_log_count(log_work)} {unit}, "
+            f"above the limit of {MAX_EXPECTED_PROPOSALS:.0e}"
         )
 
 
-def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator,
-                        max_epochs: int = 40):
+def _check_expected_proposals(target: GibbsTarget, n: int) -> None:
+    """Refuse n certificate runs expected to need too many proposals."""
+    _check_work(
+        log(n) + target.log_rounds_per_certificate if n else -inf,
+        f"a certificate search for {n} runs at beta*B*R = "
+        f"{target.beta * target.score_bound:.6g} expects",
+    )
+
+
+def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator):
     """First certificates of n runs, with each run's earlier rounds.
 
     Round r proposes once for every run still open and draws its log u; a
     run ends at its first hit, log u <= beta*s(z) - beta*B*R, and its depth
     is that round's number.  Returns (keys, scores, depths, history): the
     hit proposals, and each round as (open runs, keys, scores, log u, hit).
-    Raises EpochBudgetExhausted when a run has no hit within 2^max_epochs
-    rounds, or up front when the expected work is refused.
+    Raises EpochBudgetExhausted before any draw when the expected number of
+    proposals exceeds MAX_EXPECTED_PROPOSALS.  Below that limit each open
+    run ends in each round with probability at least n/MAX_EXPECTED_PROPOSALS,
+    so the loop needs no horizon of its own.
     """
     _check_expected_proposals(target, n)
     beta = target.beta
     bound = beta * target.score_bound
-    horizon = 1 << min(max_epochs, 62)
     runs = np.arange(n)
     history = []
     while True:  # round 1 always runs: it covers every run, even for n = 0
@@ -327,11 +326,6 @@ def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator,
         runs = runs[~hit]
         if not runs.size:
             break
-        if len(history) >= horizon:
-            raise EpochBudgetExhausted(
-                f"no coalescence certificate within 2^{max_epochs} steps",
-                SamplerReport(len(history), 0, None, wall_budget_exhausted=True),
-            )
     keys, scores = history[0][1].copy(), history[0][2].copy()
     depths = np.empty(n, dtype=np.int64)
     for depth, (runs, z, s_z, _, hit) in enumerate(history, start=1):
@@ -340,13 +334,13 @@ def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator,
     return keys, scores, depths, history
 
 
-def _cftp_batch_indices(target, n, rng, max_epochs=40):
+def _cftp_batch_indices(target, n, rng):
     """n CFTP runs as (keys, certificate depths, scores, accepted moves).
 
     Each run starts from its first certificate and replays the Metropolis
     rule through its earlier rounds, latest first, which is forward in time.
     """
-    keys, scores, depths, history = _certificate_rounds(target, n, rng, max_epochs)
+    keys, scores, depths, history = _certificate_rounds(target, n, rng)
     beta = target.beta
     accepted = np.ones(n, dtype=np.int64)
     for runs, z, s_z, log_u, hit in reversed(history):
@@ -360,7 +354,7 @@ def _cftp_batch_indices(target, n, rng, max_epochs=40):
 
 
 def sample_exact_cftp(
-    target: GibbsTarget, rng: np.random.Generator, max_epochs: int = 40
+    target: GibbsTarget, rng: np.random.Generator
 ) -> tuple[Structure, SamplerReport]:
     """Exact sample from pi_beta via coupling from the past.
 
@@ -368,22 +362,20 @@ def sample_exact_cftp(
     whose certificate fires, then replays the single surviving trajectory
     forward to time 0 with the same randomness.  A batch of one.
 
-    Raises EpochBudgetExhausted if no certificate occurs within
-    2^max_epochs steps, or before sampling when the expected depth exceeds
-    MAX_EXPECTED_PROPOSALS; the caller may retry with a fresh stream.
+    Raises EpochBudgetExhausted before any draw when the expected depth
+    exceeds MAX_EXPECTED_PROPOSALS; a fresh stream would be refused too.
     """
-    keys, (depth,), _, (accepted,) = _cftp_batch_indices(target, 1, rng, max_epochs)
-    return target.structures(keys)[0], SamplerReport(int(depth), int(accepted), int(depth))
+    keys, (depth,), _, (accepted,) = _cftp_batch_indices(target, 1, rng)
+    return target.structures(keys)[0], SamplerReport(int(depth), int(accepted))
 
 
 def sample_exact_cftp_batch(
     target: GibbsTarget,
     n: int,
     rng: np.random.Generator,
-    max_epochs: int = 40,
 ) -> tuple[list[Structure], np.ndarray]:
     """n independent CFTP samples; returns (samples, certificate depths)."""
-    keys, depths, _, _ = _cftp_batch_indices(target, n, rng, max_epochs)
+    keys, depths, _, _ = _cftp_batch_indices(target, n, rng)
     return target.structures(keys), depths
 
 
@@ -450,17 +442,13 @@ def chain_state_indices(
 
 
 def _approx_steps(target, eps_tv, n):
-    """The mixing bound each of n chains runs, refused (SamplerFailure) when
-    the n*(steps + 1) proposals exceed MAX_EXPECTED_PROPOSALS."""
+    """The mixing bound each of n chains runs, refused when the
+    n*(steps + 1) proposals exceed MAX_EXPECTED_PROPOSALS."""
     steps = mixing_time_bound(
         effective_norm_budget(target.params, target.space), FEATURE_NORM_BOUND, eps_tv
     )
-    if n * (steps + 1) > MAX_EXPECTED_PROPOSALS:
-        raise SamplerFailure(
-            f"{n} approximate draws of {steps} steps each need about "
-            f"{n * (steps + 1):.1e} proposals, above the limit of "
-            f"{MAX_EXPECTED_PROPOSALS:.0e}"
-        )
+    _check_work(log(n * (steps + 1)) if n else -inf,
+                f"{n} approximate draws of {steps} steps each need")
     return steps
 
 
@@ -482,7 +470,7 @@ def sample_rejection(
     A batch of one.
     """
     (y,), (trials,) = sample_rejection_batch(target, 1, rng)
-    return y, SamplerReport(int(trials), 1, int(trials))
+    return y, SamplerReport(int(trials), 1)
 
 
 def sample_rejection_batch(

@@ -31,12 +31,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from math import nan
+from math import log, nan
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, SamplerFailure, WrongSpace, ZeroInput
+from .errors import DimensionMismatch, WrongSpace, ZeroInput
 from .model import (
     Dataset,
     Instance,
@@ -55,8 +55,8 @@ from .partition import (
     estimate_partition,
     hoeffding_sample_size,
 )
-from .samplers import GibbsTarget, _draw_proposal, sample_exact_cftp
-from .spaces import TABLE_CAP, OutputSpace, Structure, space_from_descriptor
+from .samplers import GibbsTarget, _check_work, _draw_proposal, sample_exact_cftp
+from .spaces import ENUMERATION_CAP, OutputSpace, Structure, space_from_descriptor
 from .streams import require_rng
 
 EXACT_ORACLE = "exact"
@@ -257,7 +257,8 @@ def train(
     every update.  Stops once the gradient norm falls below the tolerance
     or after max_iters evaluations, taking no step after the last one, so
     the returned theta is the last trace row's.  A failed gradient estimate
-    is retried once with a fresh stream before the failure propagates.
+    propagates at once.  The exact objective is recorded on every space of
+    at most ENUMERATION_CAP structures, and as nan above it.
     """
     if config.gradient_mode == MCMC:
         require_rng(rng, "train in mcmc mode")
@@ -269,16 +270,13 @@ def train(
     step0 = config.step_size
     if step0 is None:
         step0 = 1.0 / (2.0 * config.lam + 1.0)
-    record_objective = space.count() <= TABLE_CAP
+    record_objective = space.count() <= ENUMERATION_CAP
     grad_args = (data, space, config.lam, config.gradient_mode,
                  config.mcmc_epsilon, config.mcmc_delta, rng)
     trace = TrainTrace()
     start = time.perf_counter()
     for t in range(config.max_iters):
-        try:
-            g = gradient(theta, *grad_args)
-        except SamplerFailure:
-            g = gradient(theta, *grad_args)
+        g = gradient(theta, *grad_args)
         obj = objective(theta, data, space, config.lam) if record_objective else nan
         grad_norm = float(np.linalg.norm(g))
         trace.rows.append(
@@ -303,9 +301,11 @@ class AnnealConfig:
     beta_max: float = 10.0
     steps_per_rung: int = 50
 
+    def __post_init__(self):
+        if self.rungs < 1 or self.beta_max < 1.0 or self.steps_per_rung < 0:
+            raise ValueError("need rungs >= 1, beta_max >= 1 and steps_per_rung >= 0")
+
     def ladder(self) -> tuple[float, ...]:
-        if self.rungs < 1 or self.beta_max < 1.0:
-            raise ValueError("need rungs >= 1 and beta_max >= 1")
         if self.rungs == 1:
             return (self.beta_max,)
         return tuple(
@@ -325,13 +325,17 @@ def predict_map(
     Runs the Metropolis chain for steps_per_rung steps at each rung of a
     geometric ladder from beta = 1 to beta_max and returns the
     highest-scoring structure seen anywhere on the trajectory (first visit
-    wins ties).  Deterministic given the stream.
+    wins ties).  Deterministic given the stream.  A ladder whose
+    rungs*(steps_per_rung + 1) proposals exceed MAX_EXPECTED_PROPOSALS is
+    refused before the first draw.
     """
     require_rng(rng, "predict_map")
+    steps = budget.steps_per_rung
+    _check_work(log(budget.rungs * (steps + 1)),
+                f"annealing over {budget.rungs} rungs of {steps} steps needs")
     base = GibbsTarget(space, params, beta=1.0, x=x)
     best, best_score = _draw_proposal(base, rng)
     w_state = best_score
-    steps = budget.steps_per_rung
     for beta in budget.ladder():
         keys, scores = base.propose(rng, steps)
         log_us = np.log(rng.random(steps)).tolist()

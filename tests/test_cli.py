@@ -118,13 +118,90 @@ def test_missing_seed_is_config_error():
 
 def test_sampler_budget_exhaustion_exit_code(tmp_path):
     # a tiny lambda makes the derived score bound astronomically large, so
-    # the certificate never fires within a zero-doubling budget
+    # the certificate search is refused before its first draw
     code = run([
         "sample", "--space", "hypercube:4", "--theta-random", "1.0",
-        "--lambda", "1e-12", "--n", "1", "--seed", "6",
-        "--sampler", "cftp", "--max-epochs", "0", "--delta", "0.5",
+        "--lambda", "1e-12", "--n", "1", "--seed", "6", "--sampler", "cftp",
     ])
     assert code == 3
+
+
+def test_removed_sampler_flags_are_config_errors(tmp_path):
+    # --max-epochs and sample's --delta are gone, as flags and config keys
+    for command, flag in (("sample", "--max-epochs"), ("sample", "--delta"),
+                          ("partition", "--max-epochs")):
+        with pytest.raises(SystemExit) as info:
+            run([command, "--space", "hypercube:3", "--seed", "1", flag, "1"])
+        assert info.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: 1}))
+        assert run([command, "--space", "hypercube:3", "--seed", "1",
+                    "--config", str(cfg)]) == 2
+
+
+def _refused_quickly(capsys, args, code, pattern):
+    """Run args; the exit code, a run under 5 s and stderr matching pattern."""
+    start = time.perf_counter()
+    assert run(args) == code
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert re.search(pattern, err), err
+
+
+ESTIMATE = r"about \d\.\de\+\d+ (proposals|steps), above the limit of 1e\+07"
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "cftp", "rejection", "approx"])
+def test_sample_prices_all_draws_before_the_first(capsys, sampler):
+    _refused_quickly(capsys, [
+        "sample", "--space", "hypercube:3", "--theta-random", "1", "--seed", "1",
+        "--n", "1000000000000", "--sampler", sampler,
+    ], 3, ESTIMATE)
+
+
+def test_predict_prices_its_ladder_before_the_first_draw(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["train", "--data", "toy:hypercube:3", "--iters", "2", "--seed", "1",
+                "--model-out", str(model)]) == 0
+    capsys.readouterr()
+    base = ["predict", "--model", str(model), "--seed", "1"]
+    _refused_quickly(capsys, base + ["--rungs", "1000000000000",
+                                     "--steps-per-rung", "0"], 3, ESTIMATE)
+    _refused_quickly(capsys, base + ["--steps-per-rung", "1000000000000"], 3,
+                     ESTIMATE)
+    _refused_quickly(capsys, base + ["--steps-per-rung", "-1"], 2, "steps_per_rung")
+
+
+def test_verify_prices_its_uniform_draws(capsys):
+    _refused_quickly(capsys, ["verify", "--seed", "1", "--samples", "1000000000000"],
+                     3, r"4000000000000 uniform draws need " + ESTIMATE)
+
+
+def test_tiny_epsilon_is_a_config_error(capsys):
+    # the sample sizes overflow a float: a typed error, not a traceback
+    _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--theta-random",
+                              "1", "--eps", "1e-200", "--seed", "1"],
+                     2, "epsilon = 1e-200 .*beyond the largest float")
+
+
+def test_tiny_mcmc_epsilon_is_a_config_error(tmp_path, capsys):
+    _refused_quickly(capsys, ["train", "--data", "toy:hypercube:3", "--mode", "mcmc",
+                              "--mcmc-eps", "1e-200", "--iters", "1", "--seed", "1",
+                              "--model-out", str(tmp_path / "m.json")],
+                     2, "epsilon = 1e-200 .*beyond the largest float")
+
+
+def test_train_prints_valid_json_above_the_table_cap(tmp_path, capsys):
+    # hypercube:13 has 8192 structures, above TABLE_CAP: the objective is
+    # still recorded, and JSON's NaN (not valid JSON) never appears
+    assert run(["train", "--data", "toy:hypercube:13", "--iters", "3", "--seed", "1",
+                "--model-out", str(tmp_path / "m.json")]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert isinstance(doc["final_objective"], float)
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):
@@ -345,12 +422,12 @@ def sample_configs(draw):
                    st.sampled_from([0.0, -1.0, 1e-320, float("nan")])),
         "beta": (st.sampled_from([0.0, 0.5, 1.0, 4.0]),
                  st.sampled_from([-1.0, float("inf"), float("nan"), 1e300])),
-        "n": (st.integers(1, 3), st.integers(-2, 0)),
+        # n past 1e7 is refused up front for every sampler
+        "n": (st.one_of(st.integers(1, 3), st.integers(10**7 + 1, 10**15)),
+              st.integers(-2, 0)),
         "sampler": (st.sampled_from(["cftp", "rejection", "approx", "uniform"]),
                     st.just("gibbs")),
         "eps-tv": (st.sampled_from([0.05, 0.5, 1.0]), st.sampled_from([0.0, 2.0])),
-        "delta": (st.sampled_from([0.05, 0.5]), st.sampled_from([0.0, 1.0, -0.1])),
-        "max-epochs": (st.integers(0, 6), st.integers(-3, -1)),
     })
 
 
@@ -364,12 +441,14 @@ def partition_configs(draw):
                         st.sampled_from([0.0, float("nan"), float("inf")])),
         "lambda": (st.sampled_from([1.0, 1e-12]),
                    st.sampled_from([0.0, 1e-320, float("nan"), float("inf")])),
-        "eps": (st.sampled_from([0.5, 0.9]), st.sampled_from([0.0, 1.0, float("nan")])),
+        # eps below 1e-4 is refused up front, below about 1e-154 as a config error
+        "eps": (st.one_of(st.sampled_from([0.5, 0.9]),
+                          st.floats(-300.0, -4.0).map(lambda e: 10.0**e)),
+                st.sampled_from([0.0, 1.0, float("nan")])),
         "p": (st.integers(3, 5), st.integers(-1, 2)),
         "mode": (st.sampled_from(["exact", "approximate"]), st.just("gibbs")),
         "runs": (st.integers(1, 2), st.integers(-1, 0)),
         "delta": (st.sampled_from([0.25, 0.05]), st.sampled_from([0.0, 2.0])),
-        "max-epochs": (st.integers(0, 6), st.integers(-3, -1)),
         "oracle": (st.booleans(), st.just("yes")),
     })
 

@@ -13,7 +13,6 @@ from structprob import (
     Params,
     PartitionEstimate,
     Permutations,
-    SamplerFailure,
     TooFewRuns,
     boost_by_median,
     build_schedule,
@@ -128,6 +127,11 @@ def test_sample_size_values():
         sample_size(1.0, 8, 3)
     with pytest.raises(InvalidEpsilon):
         sample_size(0.0, 8, 3)
+    # epsilon**-2 overflows, or the product does: a typed error either way
+    with pytest.raises(InvalidEpsilon, match="beyond the largest float"):
+        sample_size(1e-200, 8, 3)
+    with pytest.raises(InvalidEpsilon, match="beyond the largest float"):
+        sample_size(1e-150, 10**20, 3)
 
 
 def test_sample_size_linear_in_l():
@@ -153,6 +157,11 @@ def test_hoeffding_sample_size_values():
     assert fine == pytest.approx(16 * coarse)
     with pytest.raises(ValueError):
         hoeffding_sample_size(1.0, 1.0, 0.1, 1.5)
+    # epsilon**2 underflows to 0, or the size overflows: a typed error
+    with pytest.raises(InvalidEpsilon, match="beyond the largest float"):
+        hoeffding_sample_size(1.0, 1.0, 1e-200, 0.05)
+    with pytest.raises(InvalidEpsilon, match="beyond the largest float"):
+        hoeffding_sample_size(1.0, 1.0, 1e-154, 0.05)
 
 
 # ------------------------------------------------------------ ratio oracles
@@ -381,10 +390,10 @@ def test_estimate_partition_refuses_hopeless_exact_runs_before_drawing():
     assert time.perf_counter() - start < 0.5
     # approximate mode: S chains of the mixing bound each, refused up front
     target = unit_target(Hypercube(12), seed=118, norm=5.0)
-    with pytest.raises(SamplerFailure, match=r"about \d\.\de\+\d+ proposals"):
+    with pytest.raises(EpochBudgetExhausted, match=r"about \d\.\de\+\d+ proposals"):
         estimate_partition(target, 0.01, mode=APPROXIMATE, rng=rng)
     assert rng.bit_generator.state == state
-    with pytest.raises(SamplerFailure, match="proposals"):
+    with pytest.raises(EpochBudgetExhausted, match="proposals"):
         _approx_batch_indices(target, 1e-3, 10**6, rng)
     assert rng.bit_generator.state == state
 

@@ -10,7 +10,6 @@ from structprob import (
     Hypercube,
     Params,
     Permutations,
-    SamplerFailure,
     SamplerReport,
     chain_state_indices,
     chi_square_gof,
@@ -28,7 +27,6 @@ from structprob import (
 )
 from structprob.samplers import (
     MAX_EXPECTED_PROPOSALS,
-    MAX_MIXING_STEPS,
     GibbsTarget,
     _approx_batch_indices,
     _cftp_batch_indices,
@@ -111,24 +109,29 @@ def test_mixing_time_bound_finite_and_monotone_in_budget(B, extra, eps):
     def bound(b):
         try:
             return mixing_time_bound(b, 1.0, eps)
-        except SamplerFailure:
-            return None  # refused: above MAX_MIXING_STEPS
+        except EpochBudgetExhausted:
+            return None  # refused: above MAX_EXPECTED_PROPOSALS
 
     low, high = bound(B), bound(B + extra)
     if low is None:
         assert high is None  # a larger budget never needs fewer steps
         return
-    assert isinstance(low, int) and 1 <= low <= MAX_MIXING_STEPS
+    assert isinstance(low, int) and 1 <= low <= MAX_EXPECTED_PROPOSALS
     assert high is None or low <= high
 
 
 def test_mixing_time_bound_refuses_huge_budgets():
     # at B*R = 18 the bound is about 2e16 steps; at 1000 it used to divide
     # by a zero that 1 - exp(-2BR) had rounded to
-    with pytest.raises(SamplerFailure, match=r"2\.0e\+16 steps"):
+    with pytest.raises(EpochBudgetExhausted, match=r"2\.0e\+16 steps"):
         mixing_time_bound(18.0, 1.0, 0.01)
-    with pytest.raises(SamplerFailure, match="steps"):
+    with pytest.raises(EpochBudgetExhausted, match="steps"):
         mixing_time_bound(1000.0, 1.0, 0.01)
+    # the limit is MAX_EXPECTED_PROPOSALS steps: about 3.0e6 at B*R = 6.7
+    # are returned, about 9.1e7 at B*R = 8.4 are refused
+    assert mixing_time_bound(6.7, 1.0, 0.01) <= MAX_EXPECTED_PROPOSALS
+    with pytest.raises(EpochBudgetExhausted, match=r"9\.1e\+07 steps, above the limit of 1e\+07"):
+        mixing_time_bound(8.4, 1.0, 0.01)
 
 
 def test_mixing_time_bound_rejects_bad_eps():
@@ -146,8 +149,12 @@ def test_cftp_uniform_at_beta_zero():
     ys, depths = sample_exact_cftp_batch(target, 100_000, np.random.default_rng(45))
     dist = exact_distribution(target)
     assert chi_square_gof(ys, dist, 0.01).passed
-    # at beta = 0 the certificate fires at the very first step
+    # at beta = 0 the certificate fires at the very first step, also for a
+    # nonzero theta cooled to beta = 0
     assert depths.max() == 1
+    zero = unit_target(Hypercube(6), seed=85).at_beta(0.0)
+    _, ones = sample_exact_cftp_batch(zero, 300, np.random.default_rng(87))
+    assert ones.max() == 1
 
 
 def test_cftp_matches_oracle_hypercube3():
@@ -193,9 +200,8 @@ def test_cftp_reports():
     target = unit_target(space, seed=54)
     y, report = sample_exact_cftp(target, np.random.default_rng(55))
     assert space.contains(y)
-    assert report.coalescence_epoch == report.steps_taken >= 1
+    assert report.steps_taken >= 1
     assert 1 <= report.proposals_accepted <= report.steps_taken
-    assert not report.wall_budget_exhausted
 
 
 def test_cftp_budget_exhaustion():
@@ -203,11 +209,13 @@ def test_cftp_budget_exhaustion():
     space = Hypercube(4)
     theta = random_unit_theta(4, np.random.default_rng(56))
     target = GibbsTarget(space, Params(theta, lam=1e-12), beta=1.0)
-    with pytest.raises(EpochBudgetExhausted) as info:
-        sample_exact_cftp(target, np.random.default_rng(57), max_epochs=0)
-    assert info.value.report.wall_budget_exhausted
-    with pytest.raises(EpochBudgetExhausted):
-        sample_exact_cftp_batch(target, 100, np.random.default_rng(58), max_epochs=0)
+    rng = np.random.default_rng(57)
+    state = rng.bit_generator.state
+    with pytest.raises(EpochBudgetExhausted, match="proposals"):
+        sample_exact_cftp(target, rng)
+    with pytest.raises(EpochBudgetExhausted, match="proposals"):
+        sample_exact_cftp_batch(target, 100, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
 
 
 def test_cftp_reproducible():
@@ -362,7 +370,7 @@ def test_scalar_samplers_are_batches_of_one(tabled):
     for seed in range(5):
         y, report = sample_exact_cftp(target, np.random.default_rng(seed))
         ys, depths = sample_exact_cftp_batch(target, 1, np.random.default_rng(seed))
-        assert [y] == ys and report.coalescence_epoch == depths[0]
+        assert [y] == ys and report.steps_taken == depths[0]
         y, report = sample_rejection(target, np.random.default_rng(seed))
         ys, trials = sample_rejection_batch(target, 1, np.random.default_rng(seed))
         assert [y] == ys and report.steps_taken == trials[0]
@@ -379,25 +387,6 @@ def test_rejection_trials_equal_cftp_depths(tabled):
     _, trials = sample_rejection_batch(target, 400, np.random.default_rng(84))
     _, depths = sample_exact_cftp_batch(target, 400, np.random.default_rng(84))
     assert np.array_equal(trials, depths)
-
-
-def test_max_epochs_bounds_certificate_rounds_exactly():
-    # max_epochs = k refuses exactly the batches with a run deeper than 2^k
-    target = unit_target(Hypercube(6), seed=85)
-    ys, depths = sample_exact_cftp_batch(target, 300, np.random.default_rng(86))
-    deepest = int(depths.max())
-    assert deepest > 1
-    for k in range(deepest.bit_length() + 1):
-        if deepest > 2**k:
-            with pytest.raises(EpochBudgetExhausted):
-                sample_exact_cftp_batch(target, 300, np.random.default_rng(86), k)
-        else:
-            again = sample_exact_cftp_batch(target, 300, np.random.default_rng(86), k)
-            assert again[0] == ys and np.array_equal(again[1], depths)
-    # every run certifies in round 1 = 2^0 at beta = 0
-    zero = target.at_beta(0.0)
-    _, ones = sample_exact_cftp_batch(zero, 300, np.random.default_rng(87), 0)
-    assert ones.max() == 1
 
 
 @pytest.mark.parametrize("tabled", [True, False])

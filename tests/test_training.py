@@ -171,28 +171,19 @@ def test_train_mcmc_mode_tracks_exact(toy_data):
     assert np.linalg.norm(exact_params.theta - mcmc_params.theta) <= 0.1
 
 
-def test_train_retries_failed_gradient_once(toy_data, monkeypatch):
+def test_train_propagates_the_first_gradient_failure(toy_data, monkeypatch):
+    # a refusal does not depend on the stream, so train does not retry it
     calls = {"n": 0}
-    real = training_mod.gradient
 
-    def flaky(*args, **kwargs):
+    def failing(*args, **kwargs):
         calls["n"] += 1
-        if calls["n"] == 1:
-            raise SamplerFailure("injected failure")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(training_mod, "gradient", flaky)
-    config = TrainConfig(lam=1.0, max_iters=3)
-    params, trace = train(toy_data, SPACE, config, rng=np.random.default_rng(151))
-    assert len(trace.rows) == 3
-    assert calls["n"] == 4  # one retry plus one call per remaining iteration
-
-    def always_fail(*args, **kwargs):
         raise SamplerFailure("injected failure")
 
-    monkeypatch.setattr(training_mod, "gradient", always_fail)
-    with pytest.raises(SamplerFailure):
-        train(toy_data, SPACE, config, rng=np.random.default_rng(152))
+    monkeypatch.setattr(training_mod, "gradient", failing)
+    config = TrainConfig(lam=1.0, max_iters=3)
+    with pytest.raises(SamplerFailure, match="injected failure"):
+        train(toy_data, SPACE, config, rng=np.random.default_rng(151))
+    assert calls["n"] == 1
 
 
 def test_predict_map_refuses_a_missing_rng():
