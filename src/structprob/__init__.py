@@ -64,15 +64,11 @@ from .partition import (
 )
 from .samplers import (
     GibbsTarget,
-    SamplerReport,
     chain_state_indices,
     mixing_time_bound,
     sample_approx,
-    sample_approx_batch,
     sample_exact_cftp,
-    sample_exact_cftp_batch,
     sample_rejection,
-    sample_rejection_batch,
 )
 from .spaces import (
     CyclicPermutations,

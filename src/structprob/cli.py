@@ -42,18 +42,16 @@ from .partition import (
     EXACT,
     boost_by_median,
     build_schedule,
+    check_partition_work,
     estimate_partition,
     oracle_ratio_moments,
     oracle_ratio_range,
 )
 from .samplers import (
     GibbsTarget,
-    _approx_steps,
-    _check_expected_proposals,
     _check_work,
     sample_approx,
     sample_exact_cftp,
-    sample_exact_cftp_batch,
     sample_rejection,
 )
 from .spaces import (
@@ -140,33 +138,27 @@ def _emit(args, text: str) -> None:
 def cmd_sample(args) -> int:
     space = parse_space(args.space)
     target = _target_for(args, space)
-    # price all n draws before the first: one proposal per uniform draw,
-    # steps + 1 per approximate draw, the expected depth per exact draw
-    steps = None
+    rng = stream(args.seed, 1)
     if args.sampler == "uniform":
         _check_work(log(args.n), f"{args.n} uniform draws need")
+        ys = [space.sample_uniform(rng) for _ in range(args.n)]
+        steps = [None] * args.n
     elif args.sampler == "approx":
-        steps = _approx_steps(target, args.eps_tv, args.n)
+        ys = sample_approx(target, args.eps_tv, args.n, rng)
+        steps = [target.mixing_steps(args.eps_tv)] * args.n
     else:
-        _check_expected_proposals(target, args.n)
-    rng = stream(args.seed, 1)
-    lines = []
-    for _ in range(args.n):
-        if args.sampler == "uniform":
-            y = space.sample_uniform(rng)
-        elif args.sampler == "approx":
-            y = sample_approx(target, args.eps_tv, rng)
-        else:
-            sampler = sample_exact_cftp if args.sampler == "cftp" else sample_rejection
-            y, report = sampler(target, rng)
-            steps = report.steps_taken
-        record = {
+        sampler = sample_exact_cftp if args.sampler == "cftp" else sample_rejection
+        ys, depths = sampler(target, args.n, rng)
+        steps = depths.tolist()
+    lines = [
+        json.dumps({
             "structure": y.to_json(),
             "score": target.score(y),
             "sampler": args.sampler,
-            "steps": steps,
-        }
-        lines.append(json.dumps(record))
+            "steps": k,
+        })
+        for y, k in zip(ys, steps)
+    ]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -175,6 +167,7 @@ def cmd_partition(args) -> int:
     space = parse_space(args.space)
     target = _target_for(args, space)
     mode = EXACT if args.mode == "exact" else APPROXIMATE
+    check_partition_work(target, args.eps, args.p, mode, args.runs)
     runs = [
         estimate_partition(
             target,
@@ -241,6 +234,7 @@ def cmd_predict(args) -> int:
         xs = [inst.x for inst in data.instances]
     else:
         xs = [None]
+    budget.check_work(len(xs))
     rng = stream(args.seed, 5)
     lines = []
     for x in xs:
@@ -339,7 +333,7 @@ def run_verification(seed: int = 20240, samples: int = 50_000) -> list[dict]:
     cftp_theta = random_unit_theta(cftp_space.feature_dim, stream(seed, 13))
     cftp_target = GibbsTarget(
         cftp_space, Params(cftp_theta, norm_budget=1.0), beta=1.0)
-    ys, _ = sample_exact_cftp_batch(cftp_target, samples, stream(seed, 14))
+    ys, _ = sample_exact_cftp(cftp_target, samples, stream(seed, 14))
     res = chi_square_gof(ys, exact_distribution(cftp_target), 0.01)
     add("cftp-distribution", res.passed,
         {"statistic": res.statistic, "threshold": res.threshold})
@@ -527,8 +521,9 @@ def _validate(args) -> None:
         raise ConfigError("beta must be finite and non-negative")
     if getattr(args, "delta", None) is not None and not 0 < args.delta < 1:
         raise ConfigError(f"delta must be in (0, 1), got {args.delta}")
-    if getattr(args, "n", None) is not None and args.n < 1:
-        raise ConfigError("n must be >= 1")
+    for count in ("n", "runs"):
+        if getattr(args, count, None) is not None and getattr(args, count) < 1:
+            raise ConfigError(f"{count} must be >= 1")
 
 
 if __name__ == "__main__":

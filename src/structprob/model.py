@@ -81,20 +81,16 @@ class Dataset:
         return len(self.instances)
 
 
-def joint_features(
-    x: np.ndarray | None,
-    y: Structure,
-    space: OutputSpace,
-    label_only: bool = False,
-) -> np.ndarray:
+def joint_features(x: np.ndarray | None, y: Structure, space: OutputSpace) -> np.ndarray:
     """Normalized joint feature vector phi(x, y).
 
     phi is the flattened outer product x (x) psi(y), divided by
-    ||x|| * max_y ||psi(y)|| so that ||phi|| <= 1.  In label-only mode the
-    input is the constant scalar 1 and phi reduces to psi(y) / max||psi||.
+    ||x|| * max_y ||psi(y)|| so that ||phi|| <= 1.  With x of None (the
+    label-only map) the input is the constant scalar 1 and phi reduces to
+    psi(y) / max||psi||.
     """
     psi = space.output_features(y)
-    if label_only or x is None:
+    if x is None:
         return psi / space.max_feature_norm()
     x = np.asarray(x, dtype=float)
     x_norm = float(np.linalg.norm(x))

@@ -33,10 +33,9 @@ from .model import FEATURE_NORM_BOUND, ln_count
 from .samplers import (
     GibbsTarget,
     _approx_batch_indices,
-    _approx_steps,
     _cftp_batch_indices,
+    _check_work,
     _logsumexp,
-    _check_expected_proposals,
     sample_exact_cftp,  # unused here; the benchmark tracer patches this name
 )
 from .spaces import ENUMERATION_CAP
@@ -203,6 +202,34 @@ def estimate_ratio(
     return RatioEstimate(i, float(values.mean()), S, mode)
 
 
+def check_partition_work(
+    target: GibbsTarget,
+    epsilon: float,
+    p: int = 3,
+    mode: str = EXACT,
+    runs: int = 1,
+) -> tuple[int, int, Optional[float]]:
+    """Refuse ``runs`` partition estimates whose work exceeds
+    MAX_EXPECTED_PROPOSALS, before the grid or any draw; returns
+    (l, S, eps_tv) of one run.
+
+    Each run is priced by the S draws of its costliest ratio: certificates
+    get no cheaper as beta rises to 1, and every chain runs the same mixing
+    bound.
+    """
+    l = 1 + _grid(FEATURE_NORM_BOUND, target.params.theta_norm, p)[1]
+    S = sample_size(epsilon, l, p)
+    what = f"{runs} partition estimates of {S} draws per ratio"
+    if mode == EXACT:
+        _check_work(log(runs * S) + target.log_rounds_per_certificate,
+                    f"{what} at beta*B*R = {target.score_bound:.6g} expect")
+        return l, S, None
+    eps_tv = tv_target(epsilon, l, p)
+    steps = target.mixing_steps(eps_tv)
+    _check_work(log(runs * S * (steps + 1)), f"{what}, {steps} steps each, need")
+    return l, S, eps_tv
+
+
 def estimate_partition(
     target: GibbsTarget,
     epsilon: float,
@@ -223,15 +250,7 @@ def estimate_partition(
     if target.beta != 1.0:
         raise ValueError("partition estimation expects a target at beta = 1")
     require_rng(rng, "estimate_partition")
-    # refuse hopeless work before the grid or any draw: certificates get no
-    # cheaper as beta rises to 1, and every chain runs the same mixing bound
-    l = 1 + _grid(FEATURE_NORM_BOUND, target.params.theta_norm, p)[1]
-    S = sample_size(epsilon, l, p)
-    eps_tv = tv_target(epsilon, l, p) if mode == APPROXIMATE else None
-    if mode == EXACT:
-        _check_expected_proposals(target, S)
-    else:
-        _approx_steps(target, eps_tv, S)
+    l, S, eps_tv = check_partition_work(target, epsilon, p, mode)
     schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm, p)
     ratio_rngs = rng.spawn(l)
     ratios = []
@@ -329,7 +348,7 @@ def estimate_gradient(
 def _draws(target, S, mode, rng, eps_tv):
     """(keys, beta-free scores) of S exact or approximate draws from target."""
     if mode == EXACT:
-        keys, _, scores, _ = _cftp_batch_indices(target, S, rng)
+        keys, _, scores = _cftp_batch_indices(target, S, rng)
         return keys, scores
     return _approx_batch_indices(target, eps_tv, S, rng)
 

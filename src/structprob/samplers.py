@@ -4,13 +4,19 @@ The target density is pi_beta(y) proportional to exp(beta * <phi(x, y), theta>).
 The Metropolis chain here proposes a fresh uniform structure each step and
 accepts with probability min(1, pi(z)/pi(y)); because the proposal is an exact
 uniform sampler, the chain's acceptance probability never drops below
-exp(-2*beta*B*R), which yields:
+exp(-2*beta*B*R), which yields three samplers, each drawing n independent
+samples in one call:
 
-* ``sample_exact_cftp``      -- exact samples via coupling from the past,
-* ``sample_approx``          -- approximate samples after a provable number of
-                                steps within any total-variation budget,
-* ``sample_rejection``       -- an independent exact sampler (envelope
-                                rejection) used to cross-check CFTP.
+* ``sample_exact_cftp(target, n, rng)`` -- exact samples via coupling from
+  the past, with each run's certificate depth,
+* ``sample_rejection(target, n, rng)``  -- an independent exact sampler
+  (envelope rejection) used to cross-check CFTP, with each run's trials,
+* ``sample_approx(target, eps_tv, n, rng)`` -- approximate samples after a
+  provable number of steps within any total-variation budget.
+
+Each prices all n draws before the first and refuses, as
+EpochBudgetExhausted naming the estimate, work expected to exceed
+MAX_EXPECTED_PROPOSALS.
 
 Coalescence in CFTP is detected through a conservative certificate: with
 shared per-step randomness (z_t, u_t), the event
@@ -25,7 +31,7 @@ firing depth is at most exp(2*beta*B*R).
 That event is also the rejection sampler's accept.  So both exact samplers
 share one certificate search, CFTP adding a Metropolis replay of the earlier
 steps, and the approximate sampler runs lockstep chains.  All of them draw
-from ``GibbsTarget.propose``; the scalar samplers are batches of one.
+from ``GibbsTarget.propose``.
 """
 
 from __future__ import annotations
@@ -196,29 +202,21 @@ class GibbsTarget:
         w = self.beta * self.table.scores - bound
         return log(len(w)) - _logsumexp(w)
 
+    def mixing_steps(self, eps_tv: float) -> int:
+        """Chain steps within eps_tv total variation of pi_beta.
+
+        The mixing bound at the target's budget B and R = 1, without the
+        beta factor, which is conservative for beta < 1.
+        """
+        budget = effective_norm_budget(self.params, self.space)
+        return mixing_time_bound(budget, FEATURE_NORM_BOUND, eps_tv)
+
     def at_beta(self, beta: float) -> "GibbsTarget":
         """Same space and parameters at a different inverse temperature."""
         other = dataclasses.replace(self, beta=beta)
         if "table" in self.__dict__:  # scores are beta-free, safe to share
             other.__dict__["table"] = self.__dict__["table"]
         return other
-
-
-@dataclass(frozen=True)
-class SamplerReport:
-    """Bookkeeping for a single sampler invocation.
-
-    ``steps_taken`` is the certificate depth for CFTP (how many steps back
-    in time the returned trajectory started) and the number of trials for
-    rejection sampling.
-    """
-
-    steps_taken: int
-    proposals_accepted: int
-
-    def __post_init__(self):
-        if self.proposals_accepted > self.steps_taken:
-            raise ValueError("cannot accept more proposals than steps")
 
 
 def _draw_proposal(target: GibbsTarget, rng: np.random.Generator):
@@ -335,48 +333,53 @@ def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator):
 
 
 def _cftp_batch_indices(target, n, rng):
-    """n CFTP runs as (keys, certificate depths, scores, accepted moves).
+    """n CFTP runs as (keys, certificate depths, scores).
 
     Each run starts from its first certificate and replays the Metropolis
     rule through its earlier rounds, latest first, which is forward in time.
     """
     keys, scores, depths, history = _certificate_rounds(target, n, rng)
     beta = target.beta
-    accepted = np.ones(n, dtype=np.int64)
     for runs, z, s_z, log_u, hit in reversed(history):
         live = ~hit
         runs, z, s_z = runs[live], z[live], s_z[live]
         move = log_u[live] <= beta * s_z - beta * scores[runs]
         moved = runs[move]
         keys[moved], scores[moved] = z[move], s_z[move]
-        accepted[moved] += 1
-    return keys, depths, scores, accepted
+    return keys, depths, scores
 
 
 def sample_exact_cftp(
-    target: GibbsTarget, rng: np.random.Generator
-) -> tuple[Structure, SamplerReport]:
-    """Exact sample from pi_beta via coupling from the past.
-
-    Scans backwards in time, one step per round, for the most recent step
-    whose certificate fires, then replays the single surviving trajectory
-    forward to time 0 with the same randomness.  A batch of one.
-
-    Raises EpochBudgetExhausted before any draw when the expected depth
-    exceeds MAX_EXPECTED_PROPOSALS; a fresh stream would be refused too.
-    """
-    keys, (depth,), _, (accepted,) = _cftp_batch_indices(target, 1, rng)
-    return target.structures(keys)[0], SamplerReport(int(depth), int(accepted))
-
-
-def sample_exact_cftp_batch(
-    target: GibbsTarget,
-    n: int,
-    rng: np.random.Generator,
+    target: GibbsTarget, n: int, rng: np.random.Generator
 ) -> tuple[list[Structure], np.ndarray]:
-    """n independent CFTP samples; returns (samples, certificate depths)."""
-    keys, depths, _, _ = _cftp_batch_indices(target, n, rng)
+    """n independent exact samples from pi_beta via coupling from the past.
+
+    Each run scans backwards in time, one step per round, for the most
+    recent step whose certificate fires, then replays its single surviving
+    trajectory forward to time 0 with the same randomness.  Returns
+    (samples, certificate depths).
+
+    Raises EpochBudgetExhausted before any draw when the n runs' expected
+    total depth exceeds MAX_EXPECTED_PROPOSALS; a fresh stream would be
+    refused too.
+    """
+    keys, depths, _ = _cftp_batch_indices(target, n, rng)
     return target.structures(keys), depths
+
+
+def sample_rejection(
+    target: GibbsTarget, n: int, rng: np.random.Generator
+) -> tuple[list[Structure], np.ndarray]:
+    """n independent exact samples by envelope rejection from the uniform
+    proposal; returns (samples, trial counts).
+
+    A uniform draw z is accepted with probability
+    exp(beta * (score(z) - B*R)) <= 1, so accepted draws follow pi_beta
+    exactly and the expected number of trials is at most exp(2*beta*B*R).
+    Refused before any draw like ``sample_exact_cftp``.
+    """
+    keys, _, trials, _ = _certificate_rounds(target, n, rng)
+    return target.structures(keys), trials
 
 
 def _chain(target, steps, keys, scores, rng):
@@ -394,24 +397,16 @@ def _chain(target, steps, keys, scores, rng):
 def sample_approx(
     target: GibbsTarget,
     eps_tv: float,
-    rng: np.random.Generator,
-) -> Structure:
-    """Run the chain from a uniform start for the provable mixing bound.
-
-    The returned sample's law is within total-variation distance eps_tv of
-    pi_beta.  The step count uses the target's budget B and R = 1 without
-    the beta factor, which is conservative for beta < 1.  A batch of one.
-    """
-    return sample_approx_batch(target, eps_tv, 1, rng)[0]
-
-
-def sample_approx_batch(
-    target: GibbsTarget,
-    eps_tv: float,
     n: int,
     rng: np.random.Generator,
 ) -> list[Structure]:
-    """n independent approximate samples from lockstep chains."""
+    """n independent samples from lockstep chains run from uniform starts
+    for ``target.mixing_steps(eps_tv)`` steps.
+
+    Each sample's law is within total-variation distance eps_tv of pi_beta.
+    Raises EpochBudgetExhausted before any draw when the n*(steps + 1)
+    proposals exceed MAX_EXPECTED_PROPOSALS.
+    """
     return target.structures(_approx_batch_indices(target, eps_tv, n, rng)[0])
 
 
@@ -444,9 +439,7 @@ def chain_state_indices(
 def _approx_steps(target, eps_tv, n):
     """The mixing bound each of n chains runs, refused when the
     n*(steps + 1) proposals exceed MAX_EXPECTED_PROPOSALS."""
-    steps = mixing_time_bound(
-        effective_norm_budget(target.params, target.space), FEATURE_NORM_BOUND, eps_tv
-    )
+    steps = target.mixing_steps(eps_tv)
     _check_work(log(n * (steps + 1)) if n else -inf,
                 f"{n} approximate draws of {steps} steps each need")
     return steps
@@ -457,25 +450,3 @@ def _approx_batch_indices(target, eps_tv, n, rng):
     steps = _approx_steps(target, eps_tv, n)
     keys, scores = target.propose(rng, n)
     return _chain(target, steps, keys, scores, rng)
-
-
-def sample_rejection(
-    target: GibbsTarget, rng: np.random.Generator
-) -> tuple[Structure, SamplerReport]:
-    """Exact sample by envelope rejection from the uniform proposal.
-
-    A uniform draw z is accepted with probability
-    exp(beta * (score(z) - B*R)) <= 1, so accepted draws follow pi_beta
-    exactly and the expected number of trials is at most exp(2*beta*B*R).
-    A batch of one.
-    """
-    (y,), (trials,) = sample_rejection_batch(target, 1, rng)
-    return y, SamplerReport(int(trials), 1)
-
-
-def sample_rejection_batch(
-    target: GibbsTarget, n: int, rng: np.random.Generator
-) -> tuple[list[Structure], np.ndarray]:
-    """n independent rejection samples; returns (samples, trial counts)."""
-    keys, _, trials, _ = _certificate_rounds(target, n, rng)
-    return target.structures(keys), trials

@@ -42,6 +42,7 @@ from .model import (
     Instance,
     Params,
     joint_features,
+    ln_count,
     norm_budget_from_space,
     random_unit_theta,
 )
@@ -49,18 +50,12 @@ from .oracle import (  # unused here; the benchmark tracer patches these names
     exact_gradient,
     exact_partition,
 )
-from .partition import (
-    EXACT,
-    estimate_gradient,
-    estimate_partition,
-    hoeffding_sample_size,
-)
+from .partition import EXACT, estimate_gradient, hoeffding_sample_size
 from .samplers import GibbsTarget, _check_work, _draw_proposal, sample_exact_cftp
 from .spaces import ENUMERATION_CAP, OutputSpace, Structure, space_from_descriptor
 from .streams import require_rng
 
 EXACT_ORACLE = "exact"
-FPRAS = "fpras"
 MCMC = "mcmc"
 
 # Most (input, structure) scores the exact pass holds at once: 8 MB.
@@ -81,6 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.gradient_mode not in (EXACT_ORACLE, MCMC):
             raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
         if self.projection_radius is not None and self.projection_radius <= 0:
@@ -176,40 +173,12 @@ def _exact_blocks(theta: np.ndarray, ed: _ExactData):
         yield block, scores, top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
 
 
-def objective(
-    theta: np.ndarray,
-    data: Dataset,
-    space: OutputSpace,
-    lam: float,
-    partition_mode: str = EXACT_ORACLE,
-    epsilon: float = 0.2,
-    p: int = 3,
-    sampler_mode: str = EXACT,
-    rng: np.random.Generator = None,
-) -> float:
-    """Regularized negative log-likelihood at theta.
-
-    ``partition_mode`` "exact" evaluates every ln Z by enumeration; "fpras"
-    replaces each with a randomized estimate of accuracy epsilon.
-    """
-    if partition_mode not in (EXACT_ORACLE, FPRAS):
-        raise ValueError(f"unknown partition mode {partition_mode!r}")
+def objective(theta: np.ndarray, data: Dataset, space: OutputSpace, lam: float) -> float:
+    """Regularized negative log-likelihood at theta, every ln Z by enumeration."""
     theta = np.asarray(theta, dtype=float)
-    if partition_mode == EXACT_ORACLE:
-        ed = _exact_data(data, space)
-        loss = sum(float(ed.counts[b] @ z) for b, _, z in _exact_blocks(theta, ed))
-        loss -= float(ed.observed.reshape(-1) @ theta)
-        return lam * float(theta @ theta) + loss / data.m
-    params = Params(theta, lam=lam)
-    loss = 0.0
-    inputs, counts, _ = _unique_inputs(data)
-    for x, count in zip(inputs, counts):
-        target = GibbsTarget(space, params, beta=1.0, x=x)
-        loss += count * estimate_partition(
-            target, epsilon, p, sampler_mode, rng
-        ).log_value
-    phis = _instance_features(data, space)
-    loss -= float((phis @ theta).sum())
+    ed = _exact_data(data, space)
+    loss = sum(float(ed.counts[b] @ z) for b, _, z in _exact_blocks(theta, ed))
+    loss -= float(ed.observed.reshape(-1) @ theta)
     return lam * float(theta @ theta) + loss / data.m
 
 
@@ -258,7 +227,9 @@ def train(
     or after max_iters evaluations, taking no step after the last one, so
     the returned theta is the last trace row's.  A failed gradient estimate
     propagates at once.  The exact objective is recorded on every space of
-    at most ENUMERATION_CAP structures, and as nan above it.
+    at most ENUMERATION_CAP structures, and as nan above it.  Iterations
+    whose total work exceeds MAX_EXPECTED_PROPOSALS are refused before the
+    first, as EpochBudgetExhausted naming the estimate.
     """
     if config.gradient_mode == MCMC:
         require_rng(rng, "train in mcmc mode")
@@ -267,6 +238,7 @@ def train(
     radius = config.projection_radius
     if radius is None:
         radius = norm_budget_from_space(config.lam, space)
+    _check_train_work(data, space, config, radius)
     step0 = config.step_size
     if step0 is None:
         step0 = 1.0 / (2.0 * config.lam + 1.0)
@@ -293,6 +265,24 @@ def train(
     return params, trace
 
 
+def _check_train_work(data, space, config, radius) -> None:
+    """Refuse, before the first iteration, max_iters iterations whose work
+    exceeds MAX_EXPECTED_PROPOSALS: u*|Y| scores for an exact pass over u
+    unique inputs, and u*S certificate runs of at most exp(2*B) proposals
+    each for an mcmc estimate, B the larger of sqrt(ln|Y|/lam) and the
+    projection radius."""
+    u = len(_unique_inputs(data)[0])
+    what = f"{config.max_iters} training iterations over {u} unique inputs"
+    if config.gradient_mode == MCMC:
+        S = hoeffding_sample_size(1.0, 1.0, config.mcmc_epsilon, config.mcmc_delta)
+        B = max(norm_budget_from_space(config.lam, space), radius)
+        _check_work(log(config.max_iters * u * S) + 2.0 * B,
+                    f"{what}, {S} mcmc draws per input, expect")
+    else:
+        _check_work(log(config.max_iters * u) + ln_count(space),
+                    f"{what}, {space.count()} structures each, need", "scores")
+
+
 @dataclass(frozen=True)
 class AnnealConfig:
     """Inverse-temperature ladder for MAP prediction."""
@@ -304,6 +294,15 @@ class AnnealConfig:
     def __post_init__(self):
         if self.rungs < 1 or self.beta_max < 1.0 or self.steps_per_rung < 0:
             raise ValueError("need rungs >= 1, beta_max >= 1 and steps_per_rung >= 0")
+
+    def check_work(self, inputs: int = 1) -> None:
+        """Refuse, before the first draw, a ladder run for ``inputs`` inputs
+        whose rungs*(steps_per_rung + 1) proposals each exceed
+        MAX_EXPECTED_PROPOSALS in total."""
+        steps = self.steps_per_rung
+        _check_work(log(inputs * self.rungs * (steps + 1)),
+                    f"annealing {inputs} inputs over {self.rungs} rungs of "
+                    f"{steps} steps needs")
 
     def ladder(self) -> tuple[float, ...]:
         if self.rungs == 1:
@@ -330,9 +329,8 @@ def predict_map(
     refused before the first draw.
     """
     require_rng(rng, "predict_map")
+    budget.check_work()
     steps = budget.steps_per_rung
-    _check_work(log(budget.rungs * (steps + 1)),
-                f"annealing over {budget.rungs} rungs of {steps} steps needs")
     base = GibbsTarget(space, params, beta=1.0, x=x)
     best, best_score = _draw_proposal(base, rng)
     w_state = best_score
@@ -386,9 +384,5 @@ def make_toy_dataset(
     theta = random_unit_theta(space.feature_dim, rng, norm=1.0)
     params = Params(theta, lam=1.0, norm_budget=1.0)
     target = GibbsTarget(space, params, beta=1.0, x=None)
-    instances = []
-    x = np.ones(1)
-    for _ in range(m):
-        y, _ = sample_exact_cftp(target, rng)
-        instances.append(Instance(x, y))
-    return Dataset(tuple(instances))
+    ys, _ = sample_exact_cftp(target, m, rng)
+    return Dataset(tuple(Instance(np.ones(1), y) for y in ys))

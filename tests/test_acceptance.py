@@ -36,8 +36,8 @@ from structprob import (
     oracle_ratio_moments,
     oracle_ratio_range,
     random_unit_theta,
-    sample_exact_cftp_batch,
-    sample_rejection_batch,
+    sample_exact_cftp,
+    sample_rejection,
     train,
 )
 from structprob.partition import APPROXIMATE, EXACT
@@ -111,8 +111,8 @@ def test_ac3_exact_sampler_correctness():
         assert space.count() <= 64
         target = unit_target(space, seed=seed)
         dist = exact_distribution(target)
-        cftp, _ = sample_exact_cftp_batch(target, n, np.random.default_rng(seed + 10))
-        rej, _ = sample_rejection_batch(target, n, np.random.default_rng(seed + 20))
+        cftp, _ = sample_exact_cftp(target, n, np.random.default_rng(seed + 10))
+        rej, _ = sample_rejection(target, n, np.random.default_rng(seed + 20))
         gof = chi_square_gof(cftp, dist, 0.01)
         two = chi_square_two_sample(cftp, rej, 0.01)
         if not gof.passed:
@@ -127,7 +127,7 @@ def test_ac4_coalescence_bound():
     space = Hypercube(6)
     target = unit_target(space, seed=4001)
     assert abs(target.score_bound - 1.0) < 1e-12  # B*R = 1 exactly
-    _, depths = sample_exact_cftp_batch(target, 10_000, np.random.default_rng(4002))
+    _, depths = sample_exact_cftp(target, 10_000, np.random.default_rng(4002))
     bound = exp(2.0)
     ci = 2.326 * depths.std(ddof=1) / sqrt(len(depths))
     ok = depths.mean() - ci <= bound

@@ -5,19 +5,23 @@ from math import log
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from structprob import (
+    Dataset,
+    Instance,
     Params,
     Structure,
     exact_argmax,
     load_model,
     make_toy_dataset,
     objective,
+    save_dataset,
     save_model,
     stream,
 )
+from structprob import cli
 from structprob.cli import main
 from structprob.samplers import GibbsTarget
 from structprob.spaces import Hypercube
@@ -68,6 +72,19 @@ def test_sample_other_samplers(tmp_path, sampler, capsys):
     assert len(lines) == 4
     for line in lines:
         assert json.loads(line)["sampler"] == sampler
+
+
+@pytest.mark.parametrize("sampler, name", [("cftp", "sample_exact_cftp"),
+                                           ("rejection", "sample_rejection"),
+                                           ("approx", "sample_approx")])
+def test_sample_makes_one_sampler_call_per_request(monkeypatch, capsys, sampler, name):
+    calls = []
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or original(*args))
+    assert run(["sample", "--space", "hypercube:3", "--theta-random", "1", "--n", "5",
+                "--sampler", sampler, "--seed", "1"]) == 0
+    assert len(calls) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 5
 
 
 def test_partition_zero_theta_exact(tmp_path, capsys):
@@ -170,6 +187,51 @@ def test_predict_prices_its_ladder_before_the_first_draw(tmp_path, capsys):
     _refused_quickly(capsys, base + ["--steps-per-rung", "1000000000000"], 3,
                      ESTIMATE)
     _refused_quickly(capsys, base + ["--steps-per-rung", "-1"], 2, "steps_per_rung")
+
+
+def test_predict_prices_all_inputs_before_the_first(tmp_path, capsys):
+    # each input's ladder (1e6 proposals) is under the limit, the 100 are not
+    space = Hypercube(3)
+    model, data = tmp_path / "model.json", tmp_path / "data.json"
+    save_model(model, Params(np.zeros(6)), space)
+    rng = np.random.default_rng(0)
+    instances = [Instance(rng.normal(size=2), Structure("hypercube", (0, 1, 0)))
+                 for _ in range(100)]
+    save_dataset(data, Dataset(tuple(instances)), space)
+    _refused_quickly(capsys, ["predict", "--model", str(model), "--data", str(data),
+                              "--rungs", "100", "--steps-per-rung", "9999",
+                              "--seed", "1"],
+                     3, r"annealing 100 inputs over 100 rungs of 9999 steps needs "
+                        + ESTIMATE)
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_train_rejects_nonpositive_iters(tmp_path, capsys, iters):
+    _refused_quickly(capsys, ["train", "--data", "toy:hypercube:3", "--iters", iters,
+                              "--seed", "1", "--model-out", str(tmp_path / "m.json")],
+                     2, "max_iters must be >= 1")
+
+
+@pytest.mark.parametrize("mode, pattern", [
+    ("exact", r"1000000000000 training iterations over 1 unique inputs, 8 structures "
+              r"each, need about 8\.0e\+12 scores, above the limit of 1e\+07"),
+    ("mcmc", r"1000000000000 training iterations over 1 unique inputs, 2952 mcmc "
+             r"draws per input, expect " + ESTIMATE),
+])
+def test_train_prices_all_iterations_before_the_first(tmp_path, capsys, mode, pattern):
+    _refused_quickly(capsys, ["train", "--data", "toy:hypercube:3", "--mode", mode,
+                              "--iters", "1000000000000", "--tolerance", "0",
+                              "--seed", "1", "--model-out", str(tmp_path / "m.json")],
+                     3, pattern)
+
+
+def test_partition_prices_all_runs_before_the_first(capsys):
+    _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--theta-random",
+                              "1", "--runs", "1000000000", "--seed", "1"],
+                     3, r"1000000000 partition estimates of \d+ draws per ratio at "
+                        r"beta\*B\*R = [\d.]+ expect " + ESTIMATE)
+    _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--runs", "0",
+                              "--seed", "1"], 2, "runs must be >= 1")
 
 
 def test_verify_prices_its_uniform_draws(capsys):
@@ -330,7 +392,7 @@ def test_train_predict_with_real_input_features(tmp_path):
     for _ in range(10):
         x = rng.normal(size=2)
         target = GibbsTarget(space, Params(true_theta), beta=1.0, x=x)
-        y, _ = sp.sample_exact_cftp(target, rng)
+        (y,), _ = sp.sample_exact_cftp(target, 1, rng)
         instances.append(sp.Instance(x, y))
     data_path = tmp_path / "outer.json"
     sp.save_dataset(data_path, sp.Dataset(tuple(instances)), space)
@@ -410,6 +472,13 @@ def _space_flag(good):
     return (st.sampled_from(good), st.sampled_from(["cycles:2", "bogus:3", "hypercube:x"]))
 
 
+def _count_flag(small):
+    # small, not positive, or past the up-front refusal: every command
+    # refuses any of its counts above 1e7 before its first draw
+    return (st.one_of(small, st.integers(-2, 0), st.integers(10**7 + 1, 10**15)),
+            st.sampled_from([1.5, "many"]))
+
+
 @st.composite
 def sample_configs(draw):
     return _cli_config(draw, {
@@ -422,9 +491,7 @@ def sample_configs(draw):
                    st.sampled_from([0.0, -1.0, 1e-320, float("nan")])),
         "beta": (st.sampled_from([0.0, 0.5, 1.0, 4.0]),
                  st.sampled_from([-1.0, float("inf"), float("nan"), 1e300])),
-        # n past 1e7 is refused up front for every sampler
-        "n": (st.one_of(st.integers(1, 3), st.integers(10**7 + 1, 10**15)),
-              st.integers(-2, 0)),
+        "n": _count_flag(st.integers(1, 3)),
         "sampler": (st.sampled_from(["cftp", "rejection", "approx", "uniform"]),
                     st.just("gibbs")),
         "eps-tv": (st.sampled_from([0.05, 0.5, 1.0]), st.sampled_from([0.0, 2.0])),
@@ -447,20 +514,60 @@ def partition_configs(draw):
                 st.sampled_from([0.0, 1.0, float("nan")])),
         "p": (st.integers(3, 5), st.integers(-1, 2)),
         "mode": (st.sampled_from(["exact", "approximate"]), st.just("gibbs")),
-        "runs": (st.integers(1, 2), st.integers(-1, 0)),
+        "runs": _count_flag(st.integers(1, 2)),
         "delta": (st.sampled_from([0.25, 0.05]), st.sampled_from([0.0, 2.0])),
         "oracle": (st.booleans(), st.just("yes")),
     })
 
 
-@settings(max_examples=100, deadline=None,
+@st.composite
+def train_configs(draw):
+    return _cli_config(draw, {
+        "iters": _count_flag(st.integers(1, 3)),
+        "mode": (st.sampled_from(["exact", "mcmc"]), st.just("gibbs")),
+        "lambda": (st.sampled_from([1.0, 0.5, 1e-12]),
+                   st.sampled_from([0.0, -1.0, float("nan")])),
+        "mcmc-eps": (st.sampled_from([0.05, 0.2]), st.sampled_from([0.0, 1e-200])),
+    })
+
+
+@st.composite
+def predict_configs(draw):
+    return _cli_config(draw, {
+        "rungs": _count_flag(st.integers(1, 3)),
+        "steps-per-rung": _count_flag(st.integers(0, 3)),
+        "beta-max": (st.sampled_from([1.0, 10.0]), st.sampled_from([0.5, -1.0])),
+    })
+
+
+@st.composite
+def verify_configs(draw):
+    return _cli_config(draw, {"samples": _count_flag(st.integers(1, 3))})
+
+
+CONFIGS = {"sample": sample_configs, "partition": partition_configs,
+           "train": train_configs, "predict": predict_configs, "verify": verify_configs}
+
+
+@settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["sample", "partition"]), data=st.data())
-def test_any_config_exits_with_a_documented_code(tmp_path, command, data):
-    doc = data.draw(sample_configs() if command == "sample" else partition_configs())
+@given(case=st.one_of(*(st.tuples(st.just(command), configs())
+                        for command, configs in CONFIGS.items())))
+@example(case=("train", {"iters": 0}))
+def test_any_config_exits_with_a_documented_code(tmp_path, case):
+    command, doc = case
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    out = tmp_path / "out.json"
-    code = run([command, "--space", "hypercube:3", "--seed", "3",
-                "--config", str(cfg), "--out", str(out)])
+    model = tmp_path / "model.json"
+    save_model(model, Params(np.zeros(3)), Hypercube(3))
+    args = {"sample": ["--space", "hypercube:3"],
+            "partition": ["--space", "hypercube:3"],
+            "train": ["--data", "toy:hypercube:3", "--model-out", str(model)],
+            "predict": ["--model", str(model)],
+            # the whole suite at the default 50000 samples takes seconds
+            "verify": ["--samples", "3"]}[command]
+    start = time.perf_counter()
+    code = run([command, *args, "--seed", "3", "--config", str(cfg),
+                "--out", str(tmp_path / "out.json")])
     assert code in (0, 2, 3)
+    assert time.perf_counter() - start < 5.0

@@ -28,7 +28,7 @@ from structprob import (
 def test_label_only_all_ones_has_unit_norm():
     space = Hypercube(4)
     y = Structure("hypercube", (1, 1, 1, 1))
-    phi = joint_features(None, y, space, label_only=True)
+    phi = joint_features(None, y, space)
     assert phi.tolist() == [0.5, 0.5, 0.5, 0.5]
     assert np.linalg.norm(phi) == pytest.approx(1.0)
 

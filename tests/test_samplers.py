@@ -10,7 +10,6 @@ from structprob import (
     Hypercube,
     Params,
     Permutations,
-    SamplerReport,
     chain_state_indices,
     chi_square_gof,
     chi_square_two_sample,
@@ -19,11 +18,8 @@ from structprob import (
     mixing_time_bound,
     random_unit_theta,
     sample_approx,
-    sample_approx_batch,
     sample_exact_cftp,
-    sample_exact_cftp_batch,
     sample_rejection,
-    sample_rejection_batch,
 )
 from structprob.samplers import (
     MAX_EXPECTED_PROPOSALS,
@@ -146,14 +142,14 @@ def test_mixing_time_bound_rejects_bad_eps():
 def test_cftp_uniform_at_beta_zero():
     space = Hypercube(4)
     target = GibbsTarget(space, Params(np.zeros(4), norm_budget=1.0), beta=0.0)
-    ys, depths = sample_exact_cftp_batch(target, 100_000, np.random.default_rng(45))
+    ys, depths = sample_exact_cftp(target, 100_000, np.random.default_rng(45))
     dist = exact_distribution(target)
     assert chi_square_gof(ys, dist, 0.01).passed
     # at beta = 0 the certificate fires at the very first step, also for a
     # nonzero theta cooled to beta = 0
     assert depths.max() == 1
     zero = unit_target(Hypercube(6), seed=85).at_beta(0.0)
-    _, ones = sample_exact_cftp_batch(zero, 300, np.random.default_rng(87))
+    _, ones = sample_exact_cftp(zero, 300, np.random.default_rng(87))
     assert ones.max() == 1
 
 
@@ -161,7 +157,7 @@ def test_cftp_matches_oracle_hypercube3():
     space = Hypercube(3)
     target = unit_target(space, seed=46)
     dist = exact_distribution(target)
-    ys, _ = sample_exact_cftp_batch(target, 100_000, np.random.default_rng(47))
+    ys, _ = sample_exact_cftp(target, 100_000, np.random.default_rng(47))
     assert chi_square_gof(ys, dist, 0.01).passed
 
 
@@ -169,7 +165,7 @@ def test_cftp_single_run_matches_oracle():
     space = Hypercube(3)
     target = unit_target(space, seed=48)
     rng = np.random.default_rng(49)
-    ys = [sample_exact_cftp(target, rng)[0] for _ in range(20_000)]
+    ys = [sample_exact_cftp(target, 1, rng)[0][0] for _ in range(20_000)]
     assert chi_square_gof(ys, exact_distribution(target), 0.01).passed
 
 
@@ -180,7 +176,7 @@ def test_cftp_generic_path_matches_oracle():
     dist = exact_distribution(target)
     target.__dict__["table"] = None
     rng = np.random.default_rng(51)
-    ys = [sample_exact_cftp(target, rng)[0] for _ in range(20_000)]
+    ys = [sample_exact_cftp(target, 1, rng)[0][0] for _ in range(20_000)]
     assert chi_square_gof(ys, dist, 0.01).passed
 
 
@@ -189,7 +185,7 @@ def test_cftp_certificate_depth_bound():
     space = Hypercube(6)
     target = unit_target(space, seed=52)
     assert target.score_bound == pytest.approx(1.0)
-    _, depths = sample_exact_cftp_batch(target, 5000, np.random.default_rng(53))
+    _, depths = sample_exact_cftp(target, 5000, np.random.default_rng(53))
     bound = exp(2.0)
     slack = 2.326 * depths.std(ddof=1) / np.sqrt(len(depths))
     assert depths.mean() - slack <= bound
@@ -198,10 +194,9 @@ def test_cftp_certificate_depth_bound():
 def test_cftp_reports():
     space = Hypercube(4)
     target = unit_target(space, seed=54)
-    y, report = sample_exact_cftp(target, np.random.default_rng(55))
-    assert space.contains(y)
-    assert report.steps_taken >= 1
-    assert 1 <= report.proposals_accepted <= report.steps_taken
+    ys, depths = sample_exact_cftp(target, 20, np.random.default_rng(55))
+    assert len(ys) == 20 and all(space.contains(y) for y in ys)
+    assert depths.shape == (20,) and depths.min() >= 1
 
 
 def test_cftp_budget_exhaustion():
@@ -211,25 +206,21 @@ def test_cftp_budget_exhaustion():
     target = GibbsTarget(space, Params(theta, lam=1e-12), beta=1.0)
     rng = np.random.default_rng(57)
     state = rng.bit_generator.state
-    with pytest.raises(EpochBudgetExhausted, match="proposals"):
-        sample_exact_cftp(target, rng)
-    with pytest.raises(EpochBudgetExhausted, match="proposals"):
-        sample_exact_cftp_batch(target, 100, rng)
+    for n in (1, 100):
+        with pytest.raises(EpochBudgetExhausted, match="proposals"):
+            sample_exact_cftp(target, n, rng)
     assert rng.bit_generator.state == state  # refused before any draw
 
 
 def test_cftp_reproducible():
     space = Permutations(4)
     target = unit_target(space, seed=59)
-    a, da = sample_exact_cftp_batch(target, 500, np.random.default_rng(60))
-    b, db = sample_exact_cftp_batch(target, 500, np.random.default_rng(60))
+    a, da = sample_exact_cftp(target, 500, np.random.default_rng(60))
+    b, db = sample_exact_cftp(target, 500, np.random.default_rng(60))
     assert a == b
     assert np.array_equal(da, db)
-    c, _ = sample_exact_cftp_batch(target, 500, np.random.default_rng(61))
+    c, _ = sample_exact_cftp(target, 500, np.random.default_rng(61))
     assert a != c
-    y1, r1 = sample_exact_cftp(target, np.random.default_rng(62))
-    y2, r2 = sample_exact_cftp(target, np.random.default_rng(62))
-    assert y1 == y2 and r1 == r2
 
 
 # ---------------------------------------------------------------- rejection
@@ -237,17 +228,15 @@ def test_cftp_reproducible():
 def test_rejection_accepts_first_draw_at_beta_zero():
     space = Hypercube(5)
     target = GibbsTarget(space, Params(np.zeros(5), norm_budget=1.0), beta=0.0)
-    rng = np.random.default_rng(63)
-    for _ in range(20):
-        y, report = sample_rejection(target, rng)
-        assert report.steps_taken == 1
-        assert space.contains(y)
+    ys, trials = sample_rejection(target, 20, np.random.default_rng(63))
+    assert np.all(trials == 1)
+    assert all(space.contains(y) for y in ys)
 
 
 def test_rejection_mean_trials_bound():
     space = Hypercube(6)
     target = unit_target(space, seed=64)
-    _, trials = sample_rejection_batch(target, 5000, np.random.default_rng(65))
+    _, trials = sample_rejection(target, 5000, np.random.default_rng(65))
     slack = 2.326 * trials.std(ddof=1) / np.sqrt(len(trials))
     assert trials.mean() - slack <= exp(2.0)
 
@@ -255,15 +244,15 @@ def test_rejection_mean_trials_bound():
 def test_rejection_matches_oracle():
     space = Hypercube(3)
     target = unit_target(space, seed=66)
-    ys, _ = sample_rejection_batch(target, 100_000, np.random.default_rng(67))
+    ys, _ = sample_rejection(target, 100_000, np.random.default_rng(67))
     assert chi_square_gof(ys, exact_distribution(target), 0.01).passed
 
 
 def test_cftp_and_rejection_agree_on_permutations():
     space = Permutations(3)
     target = unit_target(space, seed=68)
-    cftp, _ = sample_exact_cftp_batch(target, 100_000, np.random.default_rng(69))
-    rej, _ = sample_rejection_batch(target, 100_000, np.random.default_rng(70))
+    cftp, _ = sample_exact_cftp(target, 100_000, np.random.default_rng(69))
+    rej, _ = sample_rejection(target, 100_000, np.random.default_rng(70))
     assert chi_square_two_sample(cftp, rej, 0.01).passed
 
 
@@ -272,7 +261,7 @@ def test_cftp_and_rejection_agree_on_permutations():
 def test_sample_approx_beta_zero_uniform():
     space = Hypercube(4)
     target = GibbsTarget(space, Params(np.zeros(4), norm_budget=1.0), beta=0.0)
-    ys = sample_approx_batch(target, 0.5, 100_000, np.random.default_rng(71))
+    ys = sample_approx(target, 0.5, 100_000, np.random.default_rng(71))
     assert chi_square_gof(ys, exact_distribution(target), 0.01).passed
 
 
@@ -282,7 +271,7 @@ def test_sample_approx_within_tv_budget():
     dist = exact_distribution(target)
     eps = 0.05
     n = 50_000
-    ys = sample_approx_batch(target, eps, n, np.random.default_rng(73))
+    ys = sample_approx(target, eps, n, np.random.default_rng(73))
     counts = np.zeros(len(dist.support))
     for y in ys:
         counts[dist.index_of(y)] += 1
@@ -295,7 +284,8 @@ def test_sample_approx_single_draws_are_members():
     target = unit_target(space, seed=74)
     rng = np.random.default_rng(75)
     for _ in range(10):
-        assert space.contains(sample_approx(target, 0.1, rng))
+        (y,) = sample_approx(target, 0.1, 1, rng)
+        assert space.contains(y)
 
 
 def test_chain_state_indices_requires_table():
@@ -326,12 +316,7 @@ def test_empirical_detailed_balance():
             assert diff <= 3.0 * np.sqrt(counts[y, z] + counts[z, y])
 
 
-# ------------------------------------------------------------------ reports
-
-def test_sampler_report_invariant():
-    with pytest.raises(ValueError):
-        SamplerReport(steps_taken=1, proposals_accepted=2)
-
+# ------------------------------------------------------------------ targets
 
 def test_target_rejects_negative_beta_and_bad_dims():
     space = Hypercube(4)
@@ -363,29 +348,13 @@ def untabled(target):
 
 
 @pytest.mark.parametrize("tabled", [True, False])
-def test_scalar_samplers_are_batches_of_one(tabled):
-    target = unit_target(Permutations(4), seed=82, norm=1.5)
-    if not tabled:
-        target = untabled(target)
-    for seed in range(5):
-        y, report = sample_exact_cftp(target, np.random.default_rng(seed))
-        ys, depths = sample_exact_cftp_batch(target, 1, np.random.default_rng(seed))
-        assert [y] == ys and report.steps_taken == depths[0]
-        y, report = sample_rejection(target, np.random.default_rng(seed))
-        ys, trials = sample_rejection_batch(target, 1, np.random.default_rng(seed))
-        assert [y] == ys and report.steps_taken == trials[0]
-        y = sample_approx(target, 0.1, np.random.default_rng(seed))
-        assert [y] == sample_approx_batch(target, 0.1, 1, np.random.default_rng(seed))
-
-
-@pytest.mark.parametrize("tabled", [True, False])
 def test_rejection_trials_equal_cftp_depths(tabled):
     # both samplers run the same certificate search on the same stream
     target = unit_target(Hypercube(5), seed=83, norm=1.2)
     if not tabled:
         target = untabled(target)
-    _, trials = sample_rejection_batch(target, 400, np.random.default_rng(84))
-    _, depths = sample_exact_cftp_batch(target, 400, np.random.default_rng(84))
+    _, trials = sample_rejection(target, 400, np.random.default_rng(84))
+    _, depths = sample_exact_cftp(target, 400, np.random.default_rng(84))
     assert np.array_equal(trials, depths)
 
 
@@ -395,11 +364,11 @@ def test_empty_batches(tabled):
     if not tabled:
         target = untabled(target)
     rng = np.random.default_rng(89)
-    ys, depths = sample_exact_cftp_batch(target, 0, rng)
+    ys, depths = sample_exact_cftp(target, 0, rng)
     assert ys == [] and depths.shape == (0,)
-    ys, trials = sample_rejection_batch(target, 0, rng)
+    ys, trials = sample_rejection(target, 0, rng)
     assert ys == [] and trials.shape == (0,)
-    assert sample_approx_batch(target, 0.1, 0, rng) == []
+    assert sample_approx(target, 0.1, 0, rng) == []
 
 
 @pytest.mark.parametrize("tabled", [True, False])
@@ -409,7 +378,7 @@ def test_kernel_scores_match_target_scores(tabled):
     target = GibbsTarget(Hypercube(5), Params(theta, norm_budget=1.3), beta=0.7, x=x)
     if not tabled:
         target = untabled(target)
-    keys, _, scores, _ = _cftp_batch_indices(target, 200, np.random.default_rng(91))
+    keys, _, scores = _cftp_batch_indices(target, 200, np.random.default_rng(91))
     approx_keys, approx_scores = _approx_batch_indices(
         target, 0.1, 200, np.random.default_rng(92))
     for ks, ss in ((keys, scores), (approx_keys, approx_scores)):
@@ -421,12 +390,12 @@ def test_untabled_batch_samplers_match_oracle():
     space = Hypercube(3)
     dist = exact_distribution(unit_target(space, seed=93, norm=0.5))
     target = untabled(unit_target(space, seed=93, norm=0.5))
-    ys, _ = sample_exact_cftp_batch(target, 20_000, np.random.default_rng(94))
+    ys, _ = sample_exact_cftp(target, 20_000, np.random.default_rng(94))
     assert chi_square_gof(ys, dist, 0.01).passed
-    ys, _ = sample_rejection_batch(target, 20_000, np.random.default_rng(95))
+    ys, _ = sample_rejection(target, 20_000, np.random.default_rng(95))
     assert chi_square_gof(ys, dist, 0.01).passed
     # a 1e-3 TV budget is far below the resolution of 10k draws
-    ys = sample_approx_batch(target, 1e-3, 10_000, np.random.default_rng(96))
+    ys = sample_approx(target, 1e-3, 10_000, np.random.default_rng(96))
     assert chi_square_gof(ys, dist, 0.01).passed
 
 
@@ -435,15 +404,15 @@ def test_hopeless_certificate_search_is_refused_up_front():
     target = unit_target(space, seed=97, norm=40.0)
     assert expected_proposals(target, 1) > MAX_EXPECTED_PROPOSALS
     with pytest.raises(EpochBudgetExhausted, match=r"e\+\d+ proposals"):
-        sample_exact_cftp_batch(target, 10, np.random.default_rng(98))
+        sample_exact_cftp(target, 10, np.random.default_rng(98))
     with pytest.raises(EpochBudgetExhausted, match="proposals"):
-        sample_rejection(untabled(target), np.random.default_rng(98))
+        sample_rejection(untabled(target), 1, np.random.default_rng(98))
 
 
 def test_expected_proposals_is_the_mean_certificate_depth():
     target = unit_target(Hypercube(6), seed=99, norm=1.5)
     n = 20_000
-    _, depths = sample_exact_cftp_batch(target, n, np.random.default_rng(100))
+    _, depths = sample_exact_cftp(target, n, np.random.default_rng(100))
     # tabled: the exact geometric mean; untabled: the exp(2*beta*B*R) bound
     assert depths.sum() == pytest.approx(expected_proposals(target, n), rel=0.05)
     bounded = untabled(unit_target(Hypercube(6), seed=99, norm=1.5))

@@ -78,19 +78,6 @@ def test_objective_convexity(toy_data):
         assert mix <= bound + 1e-9
 
 
-def test_objective_fpras_mode_tracks_exact(toy_data):
-    theta = random_unit_theta(4, np.random.default_rng(160), norm=1.0)
-    exact = objective(theta, toy_data, SPACE, lam=1.0)
-    est = objective(
-        theta, toy_data, SPACE, lam=1.0, partition_mode="fpras",
-        epsilon=0.2, rng=np.random.default_rng(161),
-    )
-    # a (1 +- 0.2) multiplicative band on Z is a +-ln(1.2) band on ln Z
-    assert abs(est - exact) <= np.log(1.2) + 1e-9
-    with pytest.raises(ValueError):
-        objective(theta, toy_data, SPACE, lam=1.0, partition_mode="bogus")
-
-
 # ----------------------------------------------------------------- gradient
 
 def test_gradient_zero_when_labels_cover_space():
