@@ -141,7 +141,7 @@ def cmd_sample(args) -> int:
     rng = stream(args.seed, 1)
     if args.sampler == "uniform":
         _check_work(log(args.n), f"{args.n} uniform draws need")
-        ys = [space.sample_uniform(rng) for _ in range(args.n)]
+        ys = space.structures(space.sample_uniform(rng, args.n))
         steps = [None] * args.n
     elif args.sampler == "approx":
         ys = sample_approx(target, args.eps_tv, args.n, rng)
@@ -272,7 +272,7 @@ def run_verification(seed: int = 20240, samples: int = 50_000) -> list[dict]:
         zero = GibbsTarget(space, Params(np.zeros(space.feature_dim)), beta=0.0)
         dist = exact_distribution(zero)
         rng = stream(seed, 10, i)
-        draws = [space.sample_uniform(rng) for _ in range(samples)]
+        draws = space.structures(space.sample_uniform(rng, samples))
         res = chi_square_gof(draws, dist, 0.01)
         add(f"uniformity:{space.kind}", res.passed, {"statistic": res.statistic,
                                                      "threshold": res.threshold})

@@ -20,7 +20,6 @@ from functools import cached_property
 from math import factorial, log
 
 import numpy as np
-from scipy import stats
 from scipy.special import logsumexp
 
 from .errors import InsufficientSamples
@@ -185,6 +184,8 @@ def chi_square_gof(
     statistic.  Raises InsufficientSamples when the sample list is empty,
     contains structures outside the support, or is too small to pool.
     """
+    from scipy import stats  # imported here: it dominates ``import structprob``
+
     if not 0 < significance < 1:
         raise ValueError("significance must be in (0, 1)")
     samples = list(samples)
@@ -212,6 +213,8 @@ def chi_square_two_sample(
     samples_a, samples_b, significance: float = 0.01
 ) -> GofResult:
     """Pearson homogeneity test that two sample sets share one distribution."""
+    from scipy import stats  # imported here: it dominates ``import structprob``
+
     samples_a, samples_b = list(samples_a), list(samples_b)
     if not samples_a or not samples_b:
         raise InsufficientSamples("both sample sets must be non-empty")

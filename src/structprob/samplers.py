@@ -155,22 +155,25 @@ class GibbsTarget:
     def propose(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n uniform proposals as (keys, beta-free scores).
 
-        Keys are table rows on a tabled target and Structure objects (an
-        object array) otherwise; ``structures`` maps them back.
+        On a tabled target the keys are n table rows.  Otherwise they are
+        the rows of the (n, w) payload matrix that one call of the space's
+        uniform sampler returns, scored by one product of their label rows
+        with ``label_weights``.  Either way the samplers index keys by their
+        first axis only, and ``structures`` maps keys back to Structure
+        objects.
         """
         table = self.table
         if table is not None:
             keys = rng.integers(0, len(table.structures), n)
             return keys, table.scores[keys]
-        sample = self.space.sample_uniform
-        keys = np.fromiter((sample(rng) for _ in range(n)), dtype=object, count=n)
-        return keys, self.label_rows(keys) @ self.label_weights
+        keys = self.space.sample_uniform(rng, n)
+        return keys, self.space.label_rows(keys) @ self.label_weights
 
     def structures(self, keys: np.ndarray) -> list[Structure]:
         """The structures behind proposal keys."""
         table = self.table
         if table is None:
-            return list(keys)
+            return self.space.structures(keys)
         return [table.structures[k] for k in keys]
 
     def label_rows(self, keys: np.ndarray) -> np.ndarray:
@@ -220,9 +223,9 @@ class GibbsTarget:
 
 
 def _draw_proposal(target: GibbsTarget, rng: np.random.Generator):
-    """One uniform proposal with its beta-free score."""
+    """One uniform proposal as (an array of its one key, its beta-free score)."""
     keys, scores = target.propose(rng, 1)
-    return target.structures(keys)[0], float(scores[0])
+    return keys, float(scores[0])
 
 
 def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
@@ -386,10 +389,11 @@ def _chain(target, steps, keys, scores, rng):
     """Advance len(keys) lockstep Metropolis chains by ``steps`` transitions."""
     n = len(keys)
     beta = target.beta
+    rows = (n,) + (1,) * (keys.ndim - 1)  # accept broadcasts over payload rows
     for _ in range(steps):
         z, s_z = target.propose(rng, n)
         accept = np.log(rng.random(n)) <= beta * s_z - beta * scores
-        keys = np.where(accept, z, keys)
+        keys = np.where(accept.reshape(rows), z, keys)
         scores = np.where(accept, s_z, scores)
     return keys, scores
 

@@ -11,7 +11,20 @@ indicator feature map:
 
 Counts are arbitrary-precision integers (d! and subtree counts overflow 64
 bits quickly), and sampling decisions driven by those counts are made with
-exact integer arithmetic so the resulting distributions are exactly uniform.
+exact integer arithmetic so the resulting distributions are exactly uniform:
+in int64 where a count fits, and with Python integers where it does not.
+
+``sample_uniform(rng, n)`` draws n structures in one batch as an (n, w)
+payload matrix of small integers, one row per structure:
+
+* hypercube: the d bits;
+* permutations: the item at each of the d positions;
+* subtrees: the d vertex-inclusion bits;
+* cycles: the cycle's vertices in visiting order, padded with -1 to width n.
+
+``label_rows`` maps payload rows to normalized label features in one
+vectorized pass, and ``structures`` turns them into ``Structure`` objects,
+which callers build only for the draws they return.
 
 All spaces are immutable after construction and safe to share across threads;
 every sampling operation takes an explicit ``numpy.random.Generator``.
@@ -40,6 +53,10 @@ ENUMERATION_CAP = 10**6
 
 # Largest space whose structures and label features are tabulated.
 TABLE_CAP = 4096
+
+# Exclusive bound of int64 draws: a range of this many values or more is
+# drawn with Python integers by ``_randbelow``.
+_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -85,6 +102,13 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
         r = int.from_bytes(rng.bytes(nbytes), "big") & mask
         if r < n:
             return r
+
+
+def _row_permutations(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n independent uniform permutations of 0..d-1, one per row, in the
+    smallest signed integer type that also holds -d."""
+    rows = np.tile(np.arange(d, dtype=np.min_scalar_type(-d)), (n, 1))
+    return rng.permuted(rows, axis=1)
 
 
 @dataclass(frozen=True)
@@ -225,7 +249,16 @@ class OutputSpace:
     def count(self) -> int:
         raise NotImplementedError
 
-    def sample_uniform(self, rng: np.random.Generator) -> Structure:
+    def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n independent exactly uniform draws as an (n, w) payload matrix."""
+        raise NotImplementedError
+
+    def structures(self, payloads: np.ndarray) -> list[Structure]:
+        """The Structure behind each payload row."""
+        return [Structure(self.kind, tuple(row)) for row in payloads.tolist()]
+
+    def label_rows(self, payloads: np.ndarray) -> np.ndarray:
+        """psi(y) / max||psi|| of the structure behind each payload row."""
         raise NotImplementedError
 
     def enumerate(self, cap: int = ENUMERATION_CAP) -> Iterator[Structure]:
@@ -249,21 +282,16 @@ class OutputSpace:
     def to_descriptor(self) -> dict:
         raise NotImplementedError
 
-    def label_rows(self, structures: Sequence[Structure]) -> np.ndarray:
-        """psi(y) / max||psi|| of each structure, filled into one new array."""
-        psi = np.empty((len(structures), self.feature_dim))
-        for row, y in zip(psi, structures):
-            row[:] = self.output_features(y)
-        psi /= self.max_feature_norm()
-        return psi
-
     def labels(self, cap: int = ENUMERATION_CAP) -> LabelTable:
         """Every structure with its label rows, built afresh.
 
         Raises CapExceeded above ``cap`` structures before allocating.
         """
         structures = tuple(self.enumerate(cap))
-        psi = self.label_rows(structures)
+        psi = np.empty((len(structures), self.feature_dim))
+        for row, y in zip(psi, structures):
+            row[:] = self.output_features(y)
+        psi /= self.max_feature_norm()
         psi.setflags(write=False)
         return LabelTable(structures, psi)
 
@@ -299,8 +327,11 @@ class Hypercube(OutputSpace):
     def count(self) -> int:
         return 1 << self.d
 
-    def sample_uniform(self, rng):
-        return Structure(self.kind, tuple(int(b) for b in rng.integers(0, 2, self.d)))
+    def sample_uniform(self, rng, n):
+        return rng.integers(0, 2, (n, self.d), dtype=np.int8)
+
+    def label_rows(self, payloads):
+        return payloads / self.max_feature_norm()
 
     def enumerate(self, cap: int = ENUMERATION_CAP):
         self._check_cap(cap)
@@ -344,8 +375,16 @@ class Permutations(OutputSpace):
     def count(self) -> int:
         return factorial(self.d)
 
-    def sample_uniform(self, rng):
-        return Structure(self.kind, tuple(int(v) for v in rng.permutation(self.d)))
+    def sample_uniform(self, rng, n):
+        return _row_permutations(rng, n, self.d)
+
+    def label_rows(self, payloads):
+        # one-hot (position, item) cells: row k's item at position i is
+        # flat cell (k*d + i)*d + item of the (n, d, d) array
+        psi = np.zeros((len(payloads), self.feature_dim))
+        cells = np.arange(0, psi.size, self.d) + payloads.reshape(-1)
+        psi.reshape(-1)[cells] = 1.0 / self.max_feature_norm()
+        return psi
 
     def enumerate(self, cap: int = ENUMERATION_CAP):
         self._check_cap(cap)
@@ -396,20 +435,33 @@ class Subtrees(OutputSpace):
     def count(self) -> int:
         return self.g[0]
 
-    def sample_uniform(self, rng):
-        # Root is always in; each child branch c of an included vertex is
-        # taken independently with probability g(c)/(1+g(c)).  Multiplying
-        # the per-branch odds along any fixed subtree gives 1/g(root), so
-        # the draw is exactly uniform.
-        included = [0] * self.tree.vertex_count
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            included[v] = 1
-            for c in self.tree.children[v]:
-                if _randbelow(rng, 1 + self.g[c]) < self.g[c]:
-                    stack.append(c)
-        return Structure(self.kind, tuple(included))
+    def sample_uniform(self, rng, n):
+        # Root is always in; every other vertex c draws its branch, taken
+        # with probability g(c)/(1+g(c)), and keeps it only if its parent is
+        # in.  Every branch is drawn, so the draws stay independent and the
+        # odds along any fixed subtree multiply to 1/g(root): the draw is
+        # exactly uniform.
+        take = np.ones((self.tree.vertex_count, n), dtype=bool)
+        for g, group in self._branch_groups.items():
+            if 1 + g < _INT64_LIMIT:
+                take[group] = rng.integers(0, 1 + g, (len(group), n)) < g
+            else:
+                take[group] = [[_randbelow(rng, 1 + g) < g for _ in range(n)]
+                               for _ in group]
+        for c in reversed(self.tree.postorder):  # parents first
+            take[c] &= take[self.tree.parent[c]]
+        return np.ascontiguousarray(take.T, dtype=np.int8)
+
+    @cached_property
+    def _branch_groups(self) -> dict[int, list[int]]:
+        """Non-root vertices grouped by g, so each group is drawn in one call."""
+        groups: dict[int, list[int]] = {}
+        for c in range(1, self.tree.vertex_count):
+            groups.setdefault(self.g[c], []).append(c)
+        return groups
+
+    def label_rows(self, payloads):
+        return payloads / self.max_feature_norm()
 
     def _vertex_sets(self, v: int) -> list[frozenset]:
         options = []
@@ -489,21 +541,42 @@ class CyclicPermutations(OutputSpace):
     def count(self) -> int:
         return sum(self._length_counts)
 
-    def sample_uniform(self, rng):
-        # length k proportional to its cycle count, then a uniform k-subset,
-        # then a uniform ordering of the non-anchor vertices.  Each edge set
-        # arises from exactly two orderings (the two traversal directions),
-        # uniformly for every cycle, so the edge set is uniform.
-        r = _randbelow(rng, self.count())
-        k = 3
-        for c in self._length_counts:
-            if r < c:
-                break
-            r -= c
-            k += 1
-        vertices = sorted(int(v) for v in rng.choice(self.n, size=k, replace=False))
-        rest = [vertices[1 + int(i)] for i in rng.permutation(k - 1)]
-        return Structure(self.kind, _cycle_edges([vertices[0]] + rest))
+    def sample_uniform(self, rng, n):
+        # length k in proportion to its cycle count, then the first k entries
+        # of a uniform permutation: each k-cycle arises from exactly 2k of
+        # these ordered prefixes (k starting points, two directions), so the
+        # cycle is uniform.
+        bounds = list(itertools.accumulate(self._length_counts))
+        total = bounds[-1]
+        if total < _INT64_LIMIT:
+            r, bounds = rng.integers(0, total, n), np.array(bounds, dtype=np.int64)
+        else:
+            r = np.array([_randbelow(rng, total) for _ in range(n)], dtype=object)
+            bounds = np.array(bounds, dtype=object)
+        lengths = 3 + np.searchsorted(bounds, r, side="right")
+        rows = _row_permutations(rng, n, self.n)
+        rows[np.arange(self.n) >= lengths[:, None]] = -1
+        return rows
+
+    def structures(self, payloads):
+        return [
+            Structure(self.kind, _cycle_edges([v for v in row if v >= 0]))
+            for row in payloads.tolist()
+        ]
+
+    def label_rows(self, payloads):
+        # edge (order[j], order[j+1]) at each position j of a row, the last
+        # vertex closing the cycle to order[0]; padding positions repeat the
+        # row's first edge, whose cell is set anyway
+        order = payloads.astype(np.intp)
+        after = np.roll(order, -1, axis=1)
+        after = np.where(after < 0, order[:, :1], after)
+        cells = _pair_index(np.minimum(order, after), np.maximum(order, after), self.n)
+        cells = np.where(order < 0, cells[:, :1], cells)
+        psi = np.zeros((len(payloads), self.feature_dim))
+        cells += np.arange(0, psi.size, self.feature_dim)[:, None]
+        psi.reshape(-1)[cells] = 1.0 / self.max_feature_norm()
+        return psi
 
     def enumerate(self, cap: int = ENUMERATION_CAP):
         self._check_cap(cap)

@@ -332,17 +332,17 @@ def predict_map(
     budget.check_work()
     steps = budget.steps_per_rung
     base = GibbsTarget(space, params, beta=1.0, x=x)
-    best, best_score = _draw_proposal(base, rng)
+    best, best_score = _draw_proposal(base, rng)  # a one-key array
     w_state = best_score
     for beta in budget.ladder():
         keys, scores = base.propose(rng, steps)
         log_us = np.log(rng.random(steps)).tolist()
-        for z, s_z, log_u in zip(base.structures(keys), scores.tolist(), log_us):
+        for i, (s_z, log_u) in enumerate(zip(scores.tolist(), log_us)):
             if log_u <= beta * (s_z - w_state):
                 w_state = s_z
                 if s_z > best_score:
-                    best, best_score = z, s_z
-    return best
+                    best, best_score = keys[i:i + 1], s_z
+    return base.structures(best)[0]
 
 
 # ---------------------------------------------------------------------------

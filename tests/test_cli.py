@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from math import log
 
@@ -9,10 +12,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from structprob import (
+    CyclicPermutations,
     Dataset,
     Instance,
     Params,
+    Permutations,
     Structure,
+    Subtrees,
     exact_argmax,
     load_model,
     make_toy_dataset,
@@ -85,6 +91,31 @@ def test_sample_makes_one_sampler_call_per_request(monkeypatch, capsys, sampler,
                 "--sampler", sampler, "--seed", "1"]) == 0
     assert len(calls) == 1
     assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+def test_uniform_draws_make_one_sampler_call_per_request(monkeypatch, capsys):
+    calls = []
+    for cls in (Hypercube, Permutations, Subtrees, CyclicPermutations):
+        def counted(self, rng, n, original=cls.sample_uniform):
+            calls.append((self.kind, n))
+            return original(self, rng, n)
+        monkeypatch.setattr(cls, "sample_uniform", counted)
+    assert run(["sample", "--space", "hypercube:3", "--n", "5", "--sampler", "uniform",
+                "--seed", "1"]) == 0
+    assert calls == [("hypercube", 5)]
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    calls.clear()
+    cli.run_verification(seed=1, samples=200)
+    assert calls == [("hypercube", 200), ("permutations", 200), ("subtrees", 200),
+                     ("cycles", 200)]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the import time of the package; only the
+    # chi-square tests load it
+    code = "import sys, structprob, structprob.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_partition_zero_theta_exact(tmp_path, capsys):

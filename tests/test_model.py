@@ -37,8 +37,7 @@ def test_joint_feature_norm_never_exceeds_one():
     rng = np.random.default_rng(31)
     spaces = [Hypercube(5), Permutations(4), Subtrees(RootedTree((0, 0, 0, 1, 1)))]
     for space in spaces:
-        for _ in range(100):
-            y = space.sample_uniform(rng)
+        for y in space.structures(space.sample_uniform(rng, 100)):
             x = rng.normal(size=3)
             assert np.linalg.norm(joint_features(x, y, space)) <= 1.0 + 1e-12
             assert np.linalg.norm(joint_features(None, y, space)) <= 1.0 + 1e-12
@@ -78,7 +77,7 @@ def test_score_difference_bounded_by_2br():
     theta = random_unit_theta(space.feature_dim, rng, norm=B)
     worst = 0.0
     for _ in range(1000):
-        y, z = space.sample_uniform(rng), space.sample_uniform(rng)
+        y, z = space.structures(space.sample_uniform(rng, 2))
         s_y = score(theta, joint_features(None, y, space))
         s_z = score(theta, joint_features(None, z, space))
         worst = max(worst, abs(s_y - s_z))
@@ -132,7 +131,8 @@ def test_dataset_round_trip(tmp_path):
     space = Hypercube(3)
     rng = np.random.default_rng(36)
     instances = tuple(
-        Instance(rng.normal(size=2), space.sample_uniform(rng)) for _ in range(5)
+        Instance(rng.normal(size=2), y)
+        for y in space.structures(space.sample_uniform(rng, 5))
     )
     data = Dataset(instances)
     path = tmp_path / "data.json"

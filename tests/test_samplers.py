@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from structprob import (
+    CyclicPermutations,
     EpochBudgetExhausted,
     Hypercube,
     Params,
     Permutations,
+    RootedTree,
+    Subtrees,
     chain_state_indices,
     chi_square_gof,
     chi_square_two_sample,
@@ -384,6 +387,24 @@ def test_kernel_scores_match_target_scores(tabled):
     for ks, ss in ((keys, scores), (approx_keys, approx_scores)):
         expected = [target.score(y) for y in target.structures(ks)]
         np.testing.assert_allclose(ss, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        Hypercube(13),
+        Permutations(7),
+        CyclicPermutations(8),
+        Subtrees(RootedTree((0,) * 12 + (1, 1))),
+    ],
+)
+def test_untabled_proposal_keys_are_payload_rows(space):
+    target = unit_target(space, seed=97)
+    assert target.table is None
+    keys, scores = target.propose(np.random.default_rng(98), 50)
+    assert keys.dtype != object and keys.ndim == 2 and len(keys) == 50
+    expected = [target.score(y) for y in target.structures(keys)]
+    np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
 
 
 def test_untabled_batch_samplers_match_oracle():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import structprob.spaces as spaces_mod
 from structprob import (
     CapExceeded,
     CyclicPermutations,
@@ -32,6 +33,8 @@ PATH3 = RootedTree((0, 0, 1))        # r -> a -> b
 STAR2 = RootedTree((0, 0, 0))        # root with two leaves
 STAR3 = RootedTree((0, 0, 0, 0))
 BINARY7 = RootedTree((0, 0, 0, 1, 1, 2, 2))
+UNTABLED_TREE = RootedTree((0,) * 12 + (1, 1))  # 5120 subtrees
+BIG_BRANCH = RootedTree((0, 0) + (1,) * 64)      # vertex 1 has g = 2^64
 
 
 # ------------------------------------------------------------------ counting
@@ -139,7 +142,7 @@ def _uniform_gof(space, n_samples, seed, significance=0.01):
     rng = np.random.default_rng(seed)
     zero = GibbsTarget(space, Params(np.zeros(space.feature_dim)), beta=0.0)
     dist = exact_distribution(zero)
-    draws = [space.sample_uniform(rng) for _ in range(n_samples)]
+    draws = space.structures(space.sample_uniform(rng, n_samples))
     return chi_square_gof(draws, dist, significance)
 
 
@@ -159,6 +162,41 @@ def test_uniform_sampler_chi_square(space, seed):
     assert _uniform_gof(space, 100_000, seed).passed
 
 
+@pytest.mark.parametrize(
+    "space,seed",
+    [
+        (Hypercube(13), 51),
+        (Permutations(7), 52),
+        (CyclicPermutations(8), 53),
+        (Subtrees(UNTABLED_TREE), 54),
+    ],
+)
+def test_untabled_uniform_sampler_chi_square(space, seed):
+    # the benchmark's spaces just above TABLE_CAP, whose proposals come from
+    # these samplers; fixed seeds, as above
+    assert space.count() > spaces_mod.TABLE_CAP
+    assert _uniform_gof(space, 200_000, seed).passed
+
+
+@pytest.mark.parametrize(
+    "space,seed", [(Subtrees(BINARY7), 55), (CyclicPermutations(5), 56)]
+)
+def test_python_integer_draws_are_uniform(space, seed, monkeypatch):
+    # counts of 2^63 and above are drawn with Python integers; lowering the
+    # limit sends every count-driven draw of a small space down that path
+    monkeypatch.setattr(spaces_mod, "_INT64_LIMIT", 1)
+    assert _uniform_gof(space, 20_000, seed).passed
+
+
+def test_python_integer_draws_are_members():
+    big_tree, big_cycles = Subtrees(BIG_BRANCH), CyclicPermutations(25)
+    assert big_tree.g[1] == 2**64 and big_cycles.count() >= 2**63
+    rng = np.random.default_rng(57)
+    for space in (big_tree, big_cycles):
+        for y in space.structures(space.sample_uniform(rng, 500)):
+            assert space.contains(y)
+
+
 def test_hypercube_uniformity_spec_case():
     res = _uniform_gof(Hypercube(4), 100_000, 17)
     assert res.passed and res.dof == 15
@@ -170,8 +208,8 @@ def test_star2_subtree_frequencies():
     rng = np.random.default_rng(18)
     counts = {y.payload: 0 for y in space.enumerate()}
     n = 100_000
-    for _ in range(n):
-        counts[space.sample_uniform(rng).payload] += 1
+    for y in space.structures(space.sample_uniform(rng, n)):
+        counts[y.payload] += 1
     for c in counts.values():
         assert abs(c / n - 0.25) < 0.01
 
@@ -179,8 +217,8 @@ def test_star2_subtree_frequencies():
 def test_permutations_singleton():
     space = Permutations(1)
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        assert space.sample_uniform(rng).payload == (0,)
+    for y in space.structures(space.sample_uniform(rng, 5)):
+        assert y.payload == (0,)
 
 
 def test_samples_are_members():
@@ -192,14 +230,14 @@ def test_samples_are_members():
         CyclicPermutations(6),
     ]
     for space in spaces:
-        for _ in range(200):
-            assert space.contains(space.sample_uniform(rng))
+        for y in space.structures(space.sample_uniform(rng, 200)):
+            assert space.contains(y)
 
 
 def test_sampling_reproducible():
     space = CyclicPermutations(6)
-    a = [space.sample_uniform(np.random.default_rng(5)) for _ in range(20)]
-    b = [space.sample_uniform(np.random.default_rng(5)) for _ in range(20)]
+    a = space.structures(space.sample_uniform(np.random.default_rng(5), 20))
+    b = space.structures(space.sample_uniform(np.random.default_rng(5), 20))
     assert a == b
 
 
@@ -241,8 +279,29 @@ def test_feature_norm_bounds():
             assert norm <= np.sqrt(space.feature_dim) + 1e-12
             max_seen = max(max_seen, norm)
         assert max_seen <= space.max_feature_norm() + 1e-12
-        y = space.sample_uniform(rng)
+        (y,) = space.structures(space.sample_uniform(rng, 1))
         assert np.linalg.norm(space.output_features(y)) <= space.max_feature_norm() + 1e-12
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        Hypercube(5),
+        Permutations(4),
+        Subtrees(BINARY7),
+        Subtrees(BIG_BRANCH),
+        CyclicPermutations(6),
+        CyclicPermutations(25),
+    ],
+)
+def test_label_rows_match_output_features(space):
+    for n in (0, 300):
+        payloads = space.sample_uniform(np.random.default_rng(58), n)
+        assert payloads.shape[0] == n and payloads.dtype.kind == "i"
+        expected = np.zeros((n, space.feature_dim))
+        for row, y in zip(expected, space.structures(payloads)):
+            row[:] = space.output_features(y) / space.max_feature_norm()
+        np.testing.assert_array_equal(space.label_rows(payloads), expected)
 
 
 def test_wrong_space_rejected():
@@ -276,8 +335,7 @@ def test_membership_rejects_invalid_payloads():
 def test_cycle_encoding_is_sorted_edge_list():
     space = CyclicPermutations(5)
     rng = np.random.default_rng(21)
-    for _ in range(50):
-        y = space.sample_uniform(rng)
+    for y in space.structures(space.sample_uniform(rng, 50)):
         assert list(y.payload) == sorted(y.payload)
         assert all(u < v for u, v in y.payload)
 
@@ -337,5 +395,5 @@ def test_structure_json_round_trip():
     spaces = [Hypercube(4), Permutations(4), Subtrees(BINARY7), CyclicPermutations(5)]
     rng = np.random.default_rng(22)
     for space in spaces:
-        y = space.sample_uniform(rng)
+        (y,) = space.structures(space.sample_uniform(rng, 1))
         assert structure_from_json(space.kind, y.to_json()) == y

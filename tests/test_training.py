@@ -230,6 +230,23 @@ def test_predict_map_zero_theta_returns_member():
     assert SPACE.contains(y)
 
 
+def test_predict_map_builds_one_structure(monkeypatch):
+    # above TABLE_CAP the ladder's keys are payload rows; only the returned
+    # best becomes a Structure
+    space = Hypercube(13)
+    built = []
+
+    def counted(self, payloads, original=Hypercube.structures):
+        built.append(len(payloads))
+        return original(self, payloads)
+
+    monkeypatch.setattr(Hypercube, "structures", counted)
+    theta = random_unit_theta(13, np.random.default_rng(157), norm=1.0)
+    y = predict_map(space, None, Params(theta), AnnealConfig(rungs=3, steps_per_rung=20),
+                    np.random.default_rng(158))
+    assert built == [1] and space.contains(y)
+
+
 def test_predict_map_beats_uniform_draw_on_average():
     theta = random_unit_theta(4, np.random.default_rng(155), norm=1.0)
     params = Params(theta)
@@ -239,7 +256,7 @@ def test_predict_map_beats_uniform_draw_on_average():
     for _ in range(100):
         y = predict_map(SPACE, None, params, AnnealConfig(steps_per_rung=10), rng)
         predicted += target.score(y)
-        uniform += target.score(SPACE.sample_uniform(rng))
+        uniform += target.score(SPACE.structures(SPACE.sample_uniform(rng, 1))[0])
     assert predicted > uniform
 
 
