@@ -533,26 +533,27 @@ class CyclicPermutations(OutputSpace):
             raise ValueError("n must be >= 3")
 
     @cached_property
-    def _length_counts(self) -> tuple[int, ...]:
-        return tuple(
-            comb(self.n, k) * factorial(k - 1) // 2 for k in range(3, self.n + 1)
-        )
+    def _length_bounds(self) -> np.ndarray:
+        """Running sums of the cycle counts for k = 3..n; int64 when they
+        fit, Python integers otherwise."""
+        bounds = list(itertools.accumulate(
+            comb(self.n, k) * factorial(k - 1) // 2 for k in range(3, self.n + 1)))
+        return np.array(bounds, dtype=np.int64 if bounds[-1] < _INT64_LIMIT else object)
 
     def count(self) -> int:
-        return sum(self._length_counts)
+        return int(self._length_bounds[-1])
 
     def sample_uniform(self, rng, n):
         # length k in proportion to its cycle count, then the first k entries
         # of a uniform permutation: each k-cycle arises from exactly 2k of
         # these ordered prefixes (k starting points, two directions), so the
         # cycle is uniform.
-        bounds = list(itertools.accumulate(self._length_counts))
-        total = bounds[-1]
-        if total < _INT64_LIMIT:
-            r, bounds = rng.integers(0, total, n), np.array(bounds, dtype=np.int64)
+        bounds = self._length_bounds
+        if bounds.dtype == np.int64:
+            r = rng.integers(0, bounds[-1], n)
         else:
+            total = int(bounds[-1])
             r = np.array([_randbelow(rng, total) for _ in range(n)], dtype=object)
-            bounds = np.array(bounds, dtype=object)
         lengths = 3 + np.searchsorted(bounds, r, side="right")
         rows = _row_permutations(rng, n, self.n)
         rows[np.arange(self.n) >= lengths[:, None]] = -1

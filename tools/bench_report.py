@@ -1,15 +1,23 @@
 """Write a BENCH_<n>.json report: end-to-end medians plus per-layer rates.
 
-End to end, it runs ``bench/run.py --trace 0`` on every workload in
-``BENCHMARK.json`` once per pinned seed (1..repeats) and records each run's
-metrics and their medians.  Per layer, it measures ``GibbsTarget.propose``
-proposals/s on each benchmark space just above ``TABLE_CAP`` and on its
-tabled sibling, as the median of ``repeats`` timed windows.
+End to end, it runs ``bench/run.py --trace 0`` for the ``run_seconds`` of
+``BENCHMARK.json`` on every workload there, once per pinned seed
+1..REPEATS, and records each run's metrics and their medians.
+
+Per layer, it measures ``GibbsTarget.propose`` proposals/s on each space of
+the ``fpras-untabled`` workload and on its tabled sibling from
+``fpras-tabled``.  The batch sizes are the workload's own: one cycle of
+``fpras-untabled`` at seed MIX_SEED runs in this checkout with every
+``propose`` call's size recorded, and each rate replays that sequence of
+sizes (the untabled space's sequence on its tabled sibling too).  Spaces
+are built by ``bench/workloads.py``, so the benchmark stays the one place
+that defines them.
 
 With ``--parent DIR`` (another checkout, usually the parent commit) both
 checkouts are measured, alternating which runs first from one seed to the
 next, and the report adds change/parent ratios.  Every run is sequential, so
-the report takes about ``2 * 3 * repeats * (seconds + 15)`` seconds.
+a report with a parent takes about ``2 * 3 * REPEATS * (run_seconds + 15)``
+seconds.
 
     python3 tools/bench_report.py --out BENCH_8.json --parent ../parent
 """
@@ -28,44 +36,68 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, space descriptor) of each untabled benchmark space, then its tabled
-# sibling; the subtree trees are the ones bench/workloads.py uses.
-PROPOSE_SPACES = [
-    ("hypercube:13", {"kind": "hypercube", "d": 13}),
-    ("hypercube:12", {"kind": "hypercube", "d": 12}),
-    ("permutations:7", {"kind": "permutations", "d": 7}),
-    ("permutations:6", {"kind": "permutations", "d": 6}),
-    ("cycles:8", {"kind": "cycles", "n": 8}),
-    ("cycles:7", {"kind": "cycles", "n": 7}),
-    ("subtrees:untabled", {"kind": "subtrees", "parent": [0] * 12 + [1, 1]}),
-    ("subtrees:tabled",
-     {"kind": "subtrees", "parent": [0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]}),
-]
-
-# Each propose rate is one timed window of this many seconds, proposing in
-# batches of PROPOSE_BATCH (about the size of a certificate round's batch).
+# Pinned seeds 1..REPEATS per workload and per propose rate: with a parent,
+# REPEATS alternating change/parent pairs.
+REPEATS = 10
+# The seed of the fpras-untabled cycle whose propose batch sizes are replayed.
+MIX_SEED = 1
+# Each propose rate replays the recorded sizes whole, repeating them until at
+# least this many seconds have passed.
 PROPOSE_WINDOW_S = 1.0
-PROPOSE_BATCH = 1000
 
-# Run in a fresh interpreter against one checkout's src/: proposals/s of
-# GibbsTarget.propose over one timed window, after the table (if any) is built.
+# Run in a fresh interpreter in one checkout, with its src/ and bench/ on the
+# path: one fpras-untabled cycle through structprob.cli.main, recording the
+# size of every GibbsTarget.propose call on each untabled space.
+_MIX_PROBE = """
+import contextlib, io, json, os, sys, tempfile
+import workloads
+from structprob import cli
+from structprob.samplers import GibbsTarget
+kind = lambda spec: spec.partition(":")[0]
+untabled = sorted({t.space for t in workloads.FPRAS_UNTABLED})
+tabled = {kind(t.space): t.space for t in workloads.FPRAS_TABLED}
+spaces = {spec: workloads.build_space(spec) for spec in untabled}
+sizes = {spec: [] for spec in untabled}
+propose = GibbsTarget.propose
+def recording(self, rng, n):
+    for spec, space in spaces.items():
+        if self.space == space:
+            sizes[spec].append(int(n))
+    return propose(self, rng, n)
+GibbsTarget.propose = recording
+with tempfile.TemporaryDirectory() as work:
+    factory = workloads.InputFactory(
+        "fpras-untabled", int(sys.argv[1]), os.path.join(work, "inputs"))
+    os.chdir(work)
+    for req in factory.cycle(0):
+        for argv in req.argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv) != 0:
+                    sys.exit(f"request {req.rid} failed")
+print(json.dumps({"sizes": sizes, "siblings": {s: tabled[kind(s)] for s in untabled}}))
+"""
+
+# Run in a fresh interpreter in one checkout: proposals/s of
+# GibbsTarget.propose replaying a sequence of batch sizes, after the table
+# (if any) is built.
 _PROPOSE_PROBE = """
 import json, sys, time
 import numpy as np
+import workloads
 from structprob.model import Params, random_unit_theta
 from structprob.samplers import GibbsTarget
-from structprob.spaces import space_from_descriptor
-space = space_from_descriptor(json.loads(sys.argv[1]))
-seed, window, batch = int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+space = workloads.build_space(sys.argv[1])
+sizes, seed, window = json.loads(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
 theta = random_unit_theta(space.feature_dim, np.random.default_rng(seed), 1.0)
 target = GibbsTarget(space, Params(theta, norm_budget=1.0))
 target.table
 rng = np.random.default_rng(seed)
-target.propose(rng, batch)
+target.propose(rng, sizes[0])
 done, start = 0, time.perf_counter()
-while time.perf_counter() - start < window:
-    target.propose(rng, batch)
-    done += batch
+while not done or time.perf_counter() - start < window:
+    for n in sizes:
+        target.propose(rng, n)
+    done += sum(sizes)
 print(json.dumps({"tabled": target.table is not None,
                   "rate": done / (time.perf_counter() - start)}))
 """
@@ -76,9 +108,6 @@ def parse_args(argv=None):
     parser.add_argument("--out", required=True, help="report file to write")
     parser.add_argument("--parent", type=Path,
                         help="checkout to measure as the parent side")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json run_seconds)")
     return parser.parse_args(argv)
 
 
@@ -102,14 +131,17 @@ def _bench_run(repo: Path, workload: str, seed: int, seconds: float) -> dict:
             **{k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def _propose_rate(repo: Path, space: dict, seed: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROPOSE_PROBE, json.dumps(space), str(seed),
-         str(PROPOSE_WINDOW_S), str(PROPOSE_BATCH)],
-        cwd=repo, env=env, capture_output=True, text=True, check=True)
+def _probe(repo: Path, code: str, *args: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=f"{repo / 'src'}{os.pathsep}{repo / 'bench'}",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          cwd=repo, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def _propose_rate(repo: Path, spec: str, sizes: list[int], seed: int) -> dict:
+    return _probe(repo, _PROPOSE_PROBE, spec, json.dumps(sizes), str(seed),
+                  str(PROPOSE_WINDOW_S))
 
 
 def _alternating(sides, i):
@@ -121,14 +153,19 @@ def _median_of(runs: list[dict], key: str) -> float:
     return statistics.median(r[key] for r in runs)
 
 
+def _size_summary(sizes: list[int]) -> dict:
+    return {"calls": len(sizes), "proposals": sum(sizes),
+            "quartiles": statistics.quantiles(sizes, n=4) if len(sizes) > 1 else sizes}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = [m["name"] for m in bench["end_to_end"]]
     workloads = [w["name"] for w in bench["workloads"]]
     sides = [("change", ROOT)] + ([("parent", args.parent.resolve())] if args.parent else [])
-    seeds = list(range(1, args.repeats + 1))
+    seeds = list(range(1, REPEATS + 1))
 
     runs = {name: {w: [] for w in workloads} for name, _ in sides}
     for w in workloads:
@@ -138,22 +175,26 @@ def main(argv=None) -> int:
                 runs[name][w].append(run)
                 print(f"{name} {w} seed {seed}: {run}", file=sys.stderr)
 
-    rates = {name: {s: [] for s, _ in PROPOSE_SPACES} for name, _ in sides}
+    mix = _probe(ROOT, _MIX_PROBE, str(MIX_SEED))
+    cases = [(spec, sizes) for spec, sizes in mix["sizes"].items()]
+    cases += [(mix["siblings"][spec], sizes) for spec, sizes in mix["sizes"].items()]
+    rates = {name: {spec: [] for spec, _ in cases} for name, _ in sides}
     tabled = {}
-    for label, desc in PROPOSE_SPACES:
+    for spec, sizes in cases:
         for i, seed in enumerate(seeds):
             for name, repo in _alternating(sides, i):
-                probe = _propose_rate(repo, desc, seed)
-                rates[name][label].append(probe["rate"])
-                tabled[label] = probe["tabled"]
-        print(f"propose {label}: " + ", ".join(
-            f"{n} {statistics.median(rates[n][label]):.3g}/s" for n, _ in sides),
+                probe = _propose_rate(repo, spec, sizes, seed)
+                rates[name][spec].append(probe["rate"])
+                tabled[spec] = probe["tabled"]
+        print(f"propose {spec}: " + ", ".join(
+            f"{n} {statistics.median(rates[n][spec]):.3g}/s" for n, _ in sides),
             file=sys.stderr)
 
     report = {
         "command": f"bench/run.py --trace 0 --seconds {seconds:g}, seeds {seeds}; "
-                   f"GibbsTarget.propose in batches of {PROPOSE_BATCH}, "
-                   f"{args.repeats} windows of {PROPOSE_WINDOW_S:g} s",
+                   f"GibbsTarget.propose replaying the batch sizes of one "
+                   f"fpras-untabled cycle at seed {MIX_SEED}, "
+                   f"{REPEATS} windows of at least {PROPOSE_WINDOW_S:g} s",
         "environment": {
             "python": platform.python_version(),
             "numpy": version("numpy"),
@@ -161,6 +202,9 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "machine": platform.machine(),
         },
+        "propose_batch_sizes": {
+            spec: {"replayed_on": [spec, mix["siblings"][spec]], **_size_summary(sizes)}
+            for spec, sizes in mix["sizes"].items()},
         "sides": {
             name: {
                 **_git_state(repo),
@@ -172,10 +216,10 @@ def main(argv=None) -> int:
                     for w in workloads},
                 "per_layer": {
                     "propose_per_s": {
-                        label: {"tabled": tabled[label],
-                                "median": statistics.median(rates[name][label]),
-                                "runs": rates[name][label]}
-                        for label, _ in PROPOSE_SPACES}},
+                        spec: {"tabled": tabled[spec],
+                               "median": statistics.median(rates[name][spec]),
+                               "runs": rates[name][spec]}
+                        for spec, _ in cases}},
             }
             for name, repo in sides
         },
@@ -188,9 +232,13 @@ def main(argv=None) -> int:
                     / parent["end_to_end"][w]["median"][m] for m in metrics}
                 for w in workloads},
             "propose_per_s": {
-                label: change["per_layer"]["propose_per_s"][label]["median"]
-                / parent["per_layer"]["propose_per_s"][label]["median"]
-                for label, _ in PROPOSE_SPACES},
+                spec: change["per_layer"]["propose_per_s"][spec]["median"]
+                / parent["per_layer"]["propose_per_s"][spec]["median"]
+                for spec, _ in cases},
+            "throughput_rps_pairs_won": {
+                w: sum(c["throughput_rps"] > p["throughput_rps"]
+                       for c, p in zip(runs["change"][w], runs["parent"][w]))
+                for w in workloads},
         }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0
