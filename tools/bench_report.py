@@ -2,7 +2,7 @@
 
 End to end, it runs ``bench/run.py --trace 0`` for the ``run_seconds`` of
 ``BENCHMARK.json`` on every workload there, once per pinned seed
-1..REPEATS, and records each run's metrics and their medians.
+1..REPEATS, and records each run's metrics with their medians and quartiles.
 
 Per layer, it measures ``GibbsTarget.propose`` proposals/s on each space of
 the ``fpras-untabled`` workload and on its tabled sibling from
@@ -149,13 +149,16 @@ def _alternating(sides, i):
     return sides if i % 2 == 0 else sides[::-1]
 
 
-def _median_of(runs: list[dict], key: str) -> float:
-    return statistics.median(r[key] for r in runs)
+def _spread(values: list[float]) -> dict:
+    """Median and quartiles (the distance between the quartiles is the
+    run-to-run spread a gain must exceed)."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "quartiles": [q1, q3]}
 
 
 def _size_summary(sizes: list[int]) -> dict:
     return {"calls": len(sizes), "proposals": sum(sizes),
-            "quartiles": statistics.quantiles(sizes, n=4) if len(sizes) > 1 else sizes}
+            "quartiles": statistics.quantiles(sizes, n=4)}
 
 
 def main(argv=None) -> int:
@@ -187,7 +190,7 @@ def main(argv=None) -> int:
                 rates[name][spec].append(probe["rate"])
                 tabled[spec] = probe["tabled"]
         print(f"propose {spec}: " + ", ".join(
-            f"{n} {statistics.median(rates[n][spec]):.3g}/s" for n, _ in sides),
+            f"{n} {_spread(rates[n][spec])['median']:.3g}/s" for n, _ in sides),
             file=sys.stderr)
 
     report = {
@@ -209,15 +212,14 @@ def main(argv=None) -> int:
             name: {
                 **_git_state(repo),
                 "end_to_end": {
-                    w: {"median": {m: _median_of(runs[name][w], m) for m in metrics},
+                    w: {**{m: _spread([r[m] for r in runs[name][w]]) for m in metrics},
                         "failed": sum(r["failed"] for r in runs[name][w]),
                         "attempted": sum(r["attempted"] for r in runs[name][w]),
                         "runs": runs[name][w]}
                     for w in workloads},
                 "per_layer": {
                     "propose_per_s": {
-                        spec: {"tabled": tabled[spec],
-                               "median": statistics.median(rates[name][spec]),
+                        spec: {"tabled": tabled[spec], **_spread(rates[name][spec]),
                                "runs": rates[name][spec]}
                         for spec, _ in cases}},
             }
@@ -228,8 +230,8 @@ def main(argv=None) -> int:
         change, parent = report["sides"]["change"], report["sides"]["parent"]
         report["change_over_parent"] = {
             "end_to_end": {
-                w: {m: change["end_to_end"][w]["median"][m]
-                    / parent["end_to_end"][w]["median"][m] for m in metrics}
+                w: {m: change["end_to_end"][w][m]["median"]
+                    / parent["end_to_end"][w][m]["median"] for m in metrics}
                 for w in workloads},
             "propose_per_s": {
                 spec: change["per_layer"]["propose_per_s"][spec]["median"]
