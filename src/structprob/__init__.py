@@ -86,7 +86,6 @@ from .spaces import (
 )
 from .streams import stream
 from .training import (
-    AnnealConfig,
     TrainConfig,
     TrainTrace,
     gradient,

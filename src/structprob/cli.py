@@ -5,7 +5,7 @@ Subcommands::
     structprob sample     draw structures from pi_beta (or uniformly)
     structprob partition  estimate ln Z with accuracy guarantees
     structprob train      fit parameters on a dataset, write model + trace
-    structprob predict    annealed MAP prediction from a trained model
+    structprob predict    MAP prediction from a trained model
     structprob verify     run the oracle invariant suite
 
 Every command requires an explicit --seed; given the same configuration and
@@ -43,6 +43,7 @@ from .partition import (
     boost_by_median,
     build_schedule,
     check_partition_work,
+    check_runs,
     estimate_partition,
     oracle_ratio_moments,
     oracle_ratio_range,
@@ -65,7 +66,6 @@ from .spaces import (
 from .streams import stream
 from .training import (
     MCMC,
-    AnnealConfig,
     TrainConfig,
     load_model,
     make_toy_dataset,
@@ -167,6 +167,7 @@ def cmd_partition(args) -> int:
     space = parse_space(args.space)
     target = _target_for(args, space)
     mode = EXACT if args.mode == "exact" else APPROXIMATE
+    check_runs(args.runs, args.delta)
     check_partition_work(target, args.eps, args.p, mode, args.runs)
     runs = [
         estimate_partition(
@@ -179,7 +180,7 @@ def cmd_partition(args) -> int:
         )
         for r in range(args.runs)
     ]
-    estimate = runs[0] if args.runs == 1 else boost_by_median(runs, args.delta)
+    estimate = boost_by_median(runs, args.delta)
     doc = estimate.to_json()
     doc["runs"] = args.runs
     if args.oracle:
@@ -226,7 +227,6 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     params, space, _ = load_model(args.model)
-    budget = AnnealConfig(args.rungs, args.beta_max, args.steps_per_rung)
     if args.data:
         data, dspace = load_dataset(args.data)
         if dspace.to_descriptor() != space.to_descriptor():
@@ -234,11 +234,13 @@ def cmd_predict(args) -> int:
         xs = [inst.x for inst in data.instances]
     else:
         xs = [None]
-    budget.check_work(len(xs))
+    _check_work(log(len(xs) * args.proposals),
+                f"MAP prediction for {len(xs)} inputs from {args.proposals} "
+                f"proposals each needs")
     rng = stream(args.seed, 5)
     lines = []
     for x in xs:
-        y = predict_map(space, x, params, budget, rng)
+        y = predict_map(space, x, params, args.proposals, rng)
         target = GibbsTarget(space, params, beta=1.0, x=x)
         lines.append(json.dumps({"structure": y.to_json(), "score": target.score(y)}))
     _emit(args, "\n".join(lines) + "\n")
@@ -425,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--trace-out", default=None)
     p_train.set_defaults(func=cmd_train)
 
-    p_pred = sub.add_parser("predict", help="annealed MAP prediction")
+    p_pred = sub.add_parser(
+        "predict", help="MAP prediction: the best-scoring of N uniform proposals")
     common(p_pred, space=False)
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--data", default=None,
                         help="dataset JSON; omit for one label-only prediction")
-    p_pred.add_argument("--rungs", type=int, default=8)
-    p_pred.add_argument("--beta-max", type=float, default=10.0)
-    p_pred.add_argument("--steps-per-rung", type=int, default=50)
+    p_pred.add_argument("--proposals", type=int, default=401,
+                        help="uniform proposals scored per input")
     p_pred.set_defaults(func=cmd_predict)
 
     p_verify = sub.add_parser("verify", help="run the oracle invariant suite")
@@ -521,7 +523,7 @@ def _validate(args) -> None:
         raise ConfigError("beta must be finite and non-negative")
     if getattr(args, "delta", None) is not None and not 0 < args.delta < 1:
         raise ConfigError(f"delta must be in (0, 1), got {args.delta}")
-    for count in ("n", "runs"):
+    for count in ("n", "runs", "proposals"):
         if getattr(args, count, None) is not None and getattr(args, count) < 1:
             raise ConfigError(f"{count} must be >= 1")
 

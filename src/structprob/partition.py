@@ -282,12 +282,17 @@ def required_runs(delta: float) -> int:
     return ceil(24.0 * log(1.0 / delta))
 
 
+def check_runs(runs: int, delta: float) -> None:
+    """Refuse, as TooFewRuns, fewer runs than a (1-delta)-reliable median needs."""
+    needed = required_runs(delta)
+    if runs < needed:
+        raise TooFewRuns(f"need at least {needed} runs for delta={delta}, got {runs}")
+
+
 def boost_by_median(runs, delta: float) -> PartitionEstimate:
     """Median log-estimate of independent runs; success prob >= 1 - delta."""
     runs = list(runs)
-    needed = required_runs(delta)
-    if len(runs) < needed:
-        raise TooFewRuns(f"need at least {needed} runs for delta={delta}, got {len(runs)}")
+    check_runs(len(runs), delta)
     log_value = float(np.median([r.log_value for r in runs]))
     first = runs[0]
     return PartitionEstimate(

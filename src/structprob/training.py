@@ -1,4 +1,4 @@
-"""MAP training and annealed MAP prediction.
+"""MAP training and MAP prediction.
 
 Training minimizes the regularized negative log-likelihood
 
@@ -6,10 +6,10 @@ Training minimizes the regularized negative log-likelihood
 
 by projected gradient descent.  The objective is convex and its optimum can
 never leave the ball of radius sqrt(ln|Y| / lam), so every iterate is
-projected back onto that ball (or a user-supplied radius).  Gradients of the
-log-partition terms are either exact (full enumeration) or Monte Carlo
-estimates sized by the Hoeffding bound; instances sharing an input reuse
-one expectation per iteration.
+projected back onto that ball.  Gradients of the log-partition terms are
+either exact (full enumeration) or Monte Carlo estimates sized by the
+Hoeffding bound; instances sharing an input reuse one expectation per
+iteration.
 
 The exact objective and gradient are one batched pass over the unique
 inputs, on every space up to the enumeration cap: with X the unit-norm
@@ -21,9 +21,10 @@ The observed term sum_i x_i/||x_i|| (x) psi(y_i) is formed once per call.
 Unique inputs go through in blocks whose score matrix holds at most
 _BLOCK_ENTRIES entries, so memory beyond Psi itself stays bounded.
 
-Prediction runs the Metropolis chain along an increasing inverse-temperature
-ladder and returns the best structure visited, which is validated against
-exhaustive argmax oracles at desk scale.
+Prediction returns the best of a number of exact uniform proposals, scored
+in one batch.  A Metropolis chain over those proposals, annealed or not,
+only visits structures it proposed, so it cannot do better; the result is
+validated against exhaustive argmax oracles at desk scale.
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ from .oracle import (  # unused here; the benchmark tracer patches these names
     exact_partition,
 )
 from .partition import EXACT, estimate_gradient, hoeffding_sample_size
-from .samplers import GibbsTarget, _check_work, _draw_proposal, sample_exact_cftp
+from .samplers import (  # _draw_proposal is unused; the benchmark tracer patches it
+    GibbsTarget,
+    _check_work,
+    _draw_proposal,
+    sample_exact_cftp,
+)
 from .spaces import ENUMERATION_CAP, OutputSpace, Structure, space_from_descriptor
 from .streams import require_rng
 
@@ -70,7 +76,6 @@ class TrainConfig:
     gradient_mode: str = EXACT_ORACLE
     mcmc_epsilon: float = 0.05
     mcmc_delta: float = 0.05
-    projection_radius: Optional[float] = None  # None: sqrt(ln|Y| / lam)
     tolerance: float = 1e-6
 
     def __post_init__(self):
@@ -80,8 +85,6 @@ class TrainConfig:
             raise ValueError("max_iters must be >= 1")
         if self.gradient_mode not in (EXACT_ORACLE, MCMC):
             raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
-        if self.projection_radius is not None and self.projection_radius <= 0:
-            raise ValueError("projection_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -235,9 +238,7 @@ def train(
         require_rng(rng, "train in mcmc mode")
     dim = joint_features(data.instances[0].x, data.instances[0].y, space).size
     theta = np.zeros(dim)
-    radius = config.projection_radius
-    if radius is None:
-        radius = norm_budget_from_space(config.lam, space)
+    radius = norm_budget_from_space(config.lam, space)
     _check_train_work(data, space, config, radius)
     step0 = config.step_size
     if step0 is None:
@@ -269,80 +270,43 @@ def _check_train_work(data, space, config, radius) -> None:
     """Refuse, before the first iteration, max_iters iterations whose work
     exceeds MAX_EXPECTED_PROPOSALS: u*|Y| scores for an exact pass over u
     unique inputs, and u*S certificate runs of at most exp(2*B) proposals
-    each for an mcmc estimate, B the larger of sqrt(ln|Y|/lam) and the
-    projection radius."""
+    each for an mcmc estimate, with B the projection radius sqrt(ln|Y|/lam)."""
     u = len(_unique_inputs(data)[0])
     what = f"{config.max_iters} training iterations over {u} unique inputs"
     if config.gradient_mode == MCMC:
         S = hoeffding_sample_size(1.0, 1.0, config.mcmc_epsilon, config.mcmc_delta)
-        B = max(norm_budget_from_space(config.lam, space), radius)
-        _check_work(log(config.max_iters * u * S) + 2.0 * B,
+        _check_work(log(config.max_iters * u * S) + 2.0 * radius,
                     f"{what}, {S} mcmc draws per input, expect")
     else:
         _check_work(log(config.max_iters * u) + ln_count(space),
                     f"{what}, {space.count()} structures each, need", "scores")
 
 
-@dataclass(frozen=True)
-class AnnealConfig:
-    """Inverse-temperature ladder for MAP prediction."""
-
-    rungs: int = 8
-    beta_max: float = 10.0
-    steps_per_rung: int = 50
-
-    def __post_init__(self):
-        if self.rungs < 1 or self.beta_max < 1.0 or self.steps_per_rung < 0:
-            raise ValueError("need rungs >= 1, beta_max >= 1 and steps_per_rung >= 0")
-
-    def check_work(self, inputs: int = 1) -> None:
-        """Refuse, before the first draw, a ladder run for ``inputs`` inputs
-        whose rungs*(steps_per_rung + 1) proposals each exceed
-        MAX_EXPECTED_PROPOSALS in total."""
-        steps = self.steps_per_rung
-        _check_work(log(inputs * self.rungs * (steps + 1)),
-                    f"annealing {inputs} inputs over {self.rungs} rungs of "
-                    f"{steps} steps needs")
-
-    def ladder(self) -> tuple[float, ...]:
-        if self.rungs == 1:
-            return (self.beta_max,)
-        return tuple(
-            self.beta_max ** (k / (self.rungs - 1)) for k in range(self.rungs)
-        )
-
-
 def predict_map(
     space: OutputSpace,
     x: Optional[np.ndarray],
     params: Params,
-    budget: AnnealConfig = AnnealConfig(),
+    proposals: int,
     rng: np.random.Generator = None,
 ) -> Structure:
-    """Best structure visited by the chain along an annealing ladder.
+    """Highest-scoring structure among ``proposals`` uniform proposals.
 
-    Runs the Metropolis chain for steps_per_rung steps at each rung of a
-    geometric ladder from beta = 1 to beta_max and returns the
-    highest-scoring structure seen anywhere on the trajectory (first visit
-    wins ties).  Deterministic given the stream.  A ladder whose
-    rungs*(steps_per_rung + 1) proposals exceed MAX_EXPECTED_PROPOSALS is
-    refused before the first draw.
+    A Metropolis chain whose proposals are independent uniform draws only
+    ever visits structures it proposed, so no such chain, at any
+    temperature, can find a better one than the best proposal.  All
+    proposals come from one ``GibbsTarget.propose`` call and the first with
+    the maximum score wins ties.  Deterministic given the stream.  Fewer
+    than one proposal is a ValueError, and more than MAX_EXPECTED_PROPOSALS
+    are refused before the first draw.
     """
     require_rng(rng, "predict_map")
-    budget.check_work()
-    steps = budget.steps_per_rung
-    base = GibbsTarget(space, params, beta=1.0, x=x)
-    best, best_score = _draw_proposal(base, rng)  # a one-key array
-    w_state = best_score
-    for beta in budget.ladder():
-        keys, scores = base.propose(rng, steps)
-        log_us = np.log(rng.random(steps)).tolist()
-        for i, (s_z, log_u) in enumerate(zip(scores.tolist(), log_us)):
-            if log_u <= beta * (s_z - w_state):
-                w_state = s_z
-                if s_z > best_score:
-                    best, best_score = keys[i:i + 1], s_z
-    return base.structures(best)[0]
+    if proposals < 1:
+        raise ValueError("proposals must be >= 1")
+    _check_work(log(proposals), f"MAP prediction from {proposals} proposals needs")
+    target = GibbsTarget(space, params, beta=1.0, x=x)
+    keys, scores = target.propose(rng, proposals)
+    best = int(np.argmax(scores))
+    return target.structures(keys[best:best + 1])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ from structprob import (
     Permutations,
     Structure,
     Subtrees,
+    estimate_partition,
     exact_argmax,
     load_model,
     make_toy_dataset,
     objective,
+    random_unit_theta,
     save_dataset,
     save_model,
     stream,
@@ -148,6 +150,33 @@ def test_partition_median_boost(capsys):
     assert doc["relative_error"] <= 0.3
 
 
+def test_partition_one_run_reports_that_run(capsys):
+    # one run still goes through the median boost, which returns it unchanged
+    argv = ["partition", "--space", "hypercube:3", "--theta-random", "1", "--eps", "0.5",
+            "--seed", "1"]
+    assert run(argv) == 0
+    space = Hypercube(3)
+    theta = random_unit_theta(space.feature_dim, stream(1, 101), norm=1.0)
+    target = GibbsTarget(space, Params(theta), beta=1.0)
+    doc = estimate_partition(target, 0.5, rng=stream(1, 2, 0), seed=1).to_json()
+    doc["runs"] = 1
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("runs", ["1", "2"])
+def test_partition_refuses_too_few_runs_for_delta_before_drawing(
+        monkeypatch, capsys, runs):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("partition drew before refusing")
+
+    monkeypatch.setattr(cli, "check_partition_work", no_draws)
+    monkeypatch.setattr(cli, "estimate_partition", no_draws)
+    _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--theta-random",
+                              "1", "--seed", "1", "--eps", "0.5", "--delta", "0.05",
+                              "--runs", runs],
+                     2, f"need at least 72 runs for delta=0.05, got {runs}")
+
+
 def test_partition_invalid_epsilon_exit_code():
     assert run([
         "partition", "--space", "hypercube:4", "--eps", "1.5", "--seed", "1",
@@ -207,21 +236,22 @@ def test_sample_prices_all_draws_before_the_first(capsys, sampler):
     ], 3, ESTIMATE)
 
 
-def test_predict_prices_its_ladder_before_the_first_draw(tmp_path, capsys):
+def test_predict_prices_its_proposals_before_the_first_draw(tmp_path, capsys):
     model = tmp_path / "model.json"
     assert run(["train", "--data", "toy:hypercube:3", "--iters", "2", "--seed", "1",
                 "--model-out", str(model)]) == 0
     capsys.readouterr()
     base = ["predict", "--model", str(model), "--seed", "1"]
-    _refused_quickly(capsys, base + ["--rungs", "1000000000000",
-                                     "--steps-per-rung", "0"], 3, ESTIMATE)
-    _refused_quickly(capsys, base + ["--steps-per-rung", "1000000000000"], 3,
-                     ESTIMATE)
-    _refused_quickly(capsys, base + ["--steps-per-rung", "-1"], 2, "steps_per_rung")
+    for count in ("1", "2", "3"):
+        assert run(base + ["--proposals", count, "--out", str(tmp_path / "p.jsonl")]) == 0
+    _refused_quickly(capsys, base + ["--proposals", "1000000000000"], 3, ESTIMATE)
+    for count in ("0", "-1"):
+        _refused_quickly(capsys, base + ["--proposals", count], 2,
+                         "proposals must be >= 1")
 
 
 def test_predict_prices_all_inputs_before_the_first(tmp_path, capsys):
-    # each input's ladder (1e6 proposals) is under the limit, the 100 are not
+    # each input's 999999 proposals are under the limit, the 100 inputs' are not
     space = Hypercube(3)
     model, data = tmp_path / "model.json", tmp_path / "data.json"
     save_model(model, Params(np.zeros(6)), space)
@@ -230,9 +260,8 @@ def test_predict_prices_all_inputs_before_the_first(tmp_path, capsys):
                  for _ in range(100)]
     save_dataset(data, Dataset(tuple(instances)), space)
     _refused_quickly(capsys, ["predict", "--model", str(model), "--data", str(data),
-                              "--rungs", "100", "--steps-per-rung", "9999",
-                              "--seed", "1"],
-                     3, r"annealing 100 inputs over 100 rungs of 9999 steps needs "
+                              "--proposals", "999999", "--seed", "1"],
+                     3, r"MAP prediction for 100 inputs from 999999 proposals each needs "
                         + ESTIMATE)
 
 
@@ -565,9 +594,7 @@ def train_configs(draw):
 @st.composite
 def predict_configs(draw):
     return _cli_config(draw, {
-        "rungs": _count_flag(st.integers(1, 3)),
-        "steps-per-rung": _count_flag(st.integers(0, 3)),
-        "beta-max": (st.sampled_from([1.0, 10.0]), st.sampled_from([0.5, -1.0])),
+        "proposals": _count_flag(st.integers(1, 3)),
     })
 
 

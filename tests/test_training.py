@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from structprob import (
-    AnnealConfig,
     Dataset,
+    EpochBudgetExhausted,
     Hypercube,
     Instance,
     Params,
@@ -176,7 +176,7 @@ def test_train_propagates_the_first_gradient_failure(toy_data, monkeypatch):
 def test_predict_map_refuses_a_missing_rng():
     params = Params(np.zeros(4))
     with pytest.raises(ValueError, match="predict_map needs an explicit rng"):
-        predict_map(SPACE, None, params, AnnealConfig())
+        predict_map(SPACE, None, params, 401)
 
 
 def test_train_mcmc_mode_refuses_a_missing_rng(toy_data):
@@ -192,8 +192,6 @@ def test_train_config_validation():
         TrainConfig(lam=0.0)
     with pytest.raises(ValueError):
         TrainConfig(gradient_mode="sgd")
-    with pytest.raises(ValueError):
-        TrainConfig(projection_radius=-1.0)
 
 
 def test_trace_csv(tmp_path, toy_data):
@@ -219,19 +217,19 @@ def test_predict_map_recovers_planted_argmax():
     assert best == planted
     hits = 0
     for seed in range(100):
-        got = predict_map(SPACE, None, params, AnnealConfig(), np.random.default_rng(seed))
+        got = predict_map(SPACE, None, params, 401, np.random.default_rng(seed))
         hits += got == best
     assert hits >= 99
 
 
 def test_predict_map_zero_theta_returns_member():
     params = Params(np.zeros(4))
-    y = predict_map(SPACE, None, params, AnnealConfig(), np.random.default_rng(154))
+    y = predict_map(SPACE, None, params, 401, np.random.default_rng(154))
     assert SPACE.contains(y)
 
 
 def test_predict_map_builds_one_structure(monkeypatch):
-    # above TABLE_CAP the ladder's keys are payload rows; only the returned
+    # above TABLE_CAP the proposal keys are payload rows; only the returned
     # best becomes a Structure
     space = Hypercube(13)
     built = []
@@ -242,8 +240,7 @@ def test_predict_map_builds_one_structure(monkeypatch):
 
     monkeypatch.setattr(Hypercube, "structures", counted)
     theta = random_unit_theta(13, np.random.default_rng(157), norm=1.0)
-    y = predict_map(space, None, Params(theta), AnnealConfig(rungs=3, steps_per_rung=20),
-                    np.random.default_rng(158))
+    y = predict_map(space, None, Params(theta), 61, np.random.default_rng(158))
     assert built == [1] and space.contains(y)
 
 
@@ -254,27 +251,41 @@ def test_predict_map_beats_uniform_draw_on_average():
     rng = np.random.default_rng(156)
     predicted, uniform = 0.0, 0.0
     for _ in range(100):
-        y = predict_map(SPACE, None, params, AnnealConfig(steps_per_rung=10), rng)
+        y = predict_map(SPACE, None, params, 10, rng)
         predicted += target.score(y)
         uniform += target.score(SPACE.structures(SPACE.sample_uniform(rng, 1))[0])
     assert predicted > uniform
 
 
-def test_anneal_ladder_geometric():
-    ladder = AnnealConfig(rungs=8, beta_max=10.0).ladder()
-    assert len(ladder) == 8
-    assert ladder[0] == 1.0
-    assert ladder[-1] == pytest.approx(10.0)
-    ratios = [b / a for a, b in zip(ladder, ladder[1:])]
-    assert np.allclose(ratios, ratios[0])
-    assert AnnealConfig(rungs=1).ladder() == (10.0,)
+@pytest.mark.parametrize("d", [4, 13])  # tabled, and above TABLE_CAP
+def test_predict_map_returns_the_first_best_of_its_proposals(d):
+    space = Hypercube(d)
+    theta = random_unit_theta(d, np.random.default_rng(159), norm=2.0)
+    for params in (Params(theta), Params(np.zeros(d))):
+        target = GibbsTarget(space, params, beta=1.0)
+        keys, scores = target.propose(np.random.default_rng(160), 50)
+        proposed = target.structures(keys)
+        first_best = proposed[scores.tolist().index(max(scores.tolist()))]
+        got = predict_map(space, None, params, 50, np.random.default_rng(160))
+        assert got == first_best
+    # at zero theta every proposal ties, so the first one wins
+    assert got == proposed[0]
+
+
+def test_predict_map_refuses_bad_proposal_counts():
+    params = Params(np.zeros(4))
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="proposals must be >= 1"):
+            predict_map(SPACE, None, params, count, np.random.default_rng(161))
+    with pytest.raises(EpochBudgetExhausted, match="from 1000000000000 proposals"):
+        predict_map(SPACE, None, params, 10**12, np.random.default_rng(161))
 
 
 def test_predict_map_deterministic():
     theta = random_unit_theta(4, np.random.default_rng(157))
     params = Params(theta)
-    a = predict_map(SPACE, None, params, AnnealConfig(), np.random.default_rng(7))
-    b = predict_map(SPACE, None, params, AnnealConfig(), np.random.default_rng(7))
+    a = predict_map(SPACE, None, params, 401, np.random.default_rng(7))
+    b = predict_map(SPACE, None, params, 401, np.random.default_rng(7))
     assert a == b
 
 
