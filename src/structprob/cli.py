@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 sampler/estimator failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from math import exp, isnan, log
@@ -367,7 +368,11 @@ def _verification_graphs(seed: int):
 # argument plumbing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each parse returns a
+    fresh Namespace and nothing is stored on the parser, so calls share no
+    state."""
     parser = argparse.ArgumentParser(
         prog="structprob",
         description="Samplers, partition-function estimation and MAP training "

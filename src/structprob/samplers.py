@@ -197,9 +197,12 @@ class GibbsTarget:
     def log_rounds_per_certificate(self) -> float:
         """-ln P(a uniform proposal certifies), P = E_z exp(beta*(s(z) - B*R)).
 
-        Exact on a tabled target; otherwise the bound 2*beta*B*R.
+        Exact on a tabled target; otherwise the bound 2*beta*B*R.  Infinite
+        when beta*B*R is not finite, without scoring the table.
         """
         bound = self.beta * self.score_bound
+        if not isfinite(bound):
+            return inf
         if self.table is None:
             return 2.0 * bound
         w = self.beta * self.table.scores - bound

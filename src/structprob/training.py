@@ -11,15 +11,17 @@ either exact (full enumeration) or Monte Carlo estimates sized by the
 Hoeffding bound; instances sharing an input reuse one expectation per
 iteration.
 
-The exact objective and gradient are one batched pass over the unique
-inputs, on every space up to the enumeration cap: with X the unit-norm
-inputs, Theta the parameters as an (|x|, d_Y) matrix and Psi the space's
-label matrix (cached up to TABLE_CAP structures, built per call above), the
-scores of every (input, structure) pair are X Theta Psi^T, each ln Z is a
-row-wise log-sum-exp, and the expectation term is X^T diag(counts) P Psi.
-The observed term sum_i x_i/||x_i|| (x) psi(y_i) is formed once per call.
-Unique inputs go through in blocks whose score matrix holds at most
-_BLOCK_ENTRIES entries, so memory beyond Psi itself stays bounded.
+The exact objective and gradient come together from one batched pass over
+the unique inputs, on every space up to the enumeration cap: with X the
+unit-norm inputs, Theta the parameters as an (|x|, d_Y) matrix and Psi the
+space's label matrix (cached up to TABLE_CAP structures, enumerated once per
+layout above), the scores of every (input, structure) pair are
+X Theta Psi^T, each ln Z is a row-wise log-sum-exp, and the expectation term
+is X^T diag(counts) P Psi.  The theta-free layout (X, the counts, Psi and the
+observed term sum_i x_i/||x_i|| (x) psi(y_i)) is built once per train call,
+and each iteration makes one pass, shared by its gradient and its recorded
+objective.  Unique inputs go through in blocks whose score matrix holds at
+most _BLOCK_ENTRIES entries, so memory beyond Psi itself stays bounded.
 
 Prediction returns the best of a number of exact uniform proposals, scored
 in one batch.  A Metropolis chain over those proposals, annealed or not,
@@ -131,14 +133,17 @@ def _unique_inputs(data: Dataset):
     return list(xs.values()), np.bincount(groups), groups
 
 
-@dataclass(frozen=True)
+@dataclass
 class _ExactData:
-    """A dataset laid out against a space's label matrix for the exact pass."""
+    """A dataset laid out against a space's label matrix for the exact pass:
+    everything the pass needs that does not depend on theta."""
 
     xs: np.ndarray  # unique inputs scaled to unit norm, u x |x|
     counts: np.ndarray  # instances per unique input
     observed: np.ndarray  # sum_i x_i/||x_i|| (x) psi_n(y_i), |x| x d_Y
     features: np.ndarray  # the label matrix Psi_n, |Y| x d_Y
+    m: int  # instances
+    memo: tuple = (None, None)  # (theta bytes, lam), (value, gradient) of the last pass
 
 
 def _exact_data(data: Dataset, space: OutputSpace) -> _ExactData:
@@ -156,7 +161,7 @@ def _exact_data(data: Dataset, space: OutputSpace) -> _ExactData:
         raise ZeroInput("input feature vector has zero norm")
     xs /= norms[:, None]
     observed = xs[groups].T @ labels.features[label_rows]
-    return _ExactData(xs, counts, observed, labels.features)
+    return _ExactData(xs, counts, observed, labels.features, data.m)
 
 
 def _exact_blocks(theta: np.ndarray, ed: _ExactData):
@@ -176,13 +181,41 @@ def _exact_blocks(theta: np.ndarray, ed: _ExactData):
         yield block, scores, top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
 
 
-def objective(theta: np.ndarray, data: Dataset, space: OutputSpace, lam: float) -> float:
-    """Regularized negative log-likelihood at theta, every ln Z by enumeration."""
+def _exact_pass(theta: np.ndarray, ed: _ExactData, lam: float):
+    """(objective, gradient) at theta from one pass over the blocks.  The
+    last result stays on the layout, so asking again at the same theta and
+    lam costs no pass."""
+    key = (theta.tobytes(), lam)
+    if ed.memo[0] != key:
+        loss = 0.0
+        expected = np.zeros((ed.xs.shape[1], len(ed.features)))
+        for b, scores, ln_z in _exact_blocks(theta, ed):
+            loss += float(ed.counts[b] @ ln_z)
+            probs = np.exp(scores - ln_z[:, None])
+            expected += ed.xs[b].T @ (ed.counts[b, None] * probs)
+        loss -= float(ed.observed.reshape(-1) @ theta)
+        terms = (expected @ ed.features - ed.observed).reshape(-1)
+        ed.memo = key, (lam * float(theta @ theta) + loss / ed.m,
+                        2.0 * lam * theta + terms / ed.m)
+    return ed.memo[1]
+
+
+def objective(
+    theta: np.ndarray,
+    data: Dataset,
+    space: OutputSpace,
+    lam: float,
+    layout: Optional[_ExactData] = None,
+) -> float:
+    """Regularized negative log-likelihood at theta, every ln Z by enumeration.
+
+    ``layout``, the ``_exact_data(data, space)`` of an earlier call, skips
+    rebuilding it.
+    """
     theta = np.asarray(theta, dtype=float)
-    ed = _exact_data(data, space)
-    loss = sum(float(ed.counts[b] @ z) for b, _, z in _exact_blocks(theta, ed))
-    loss -= float(ed.observed.reshape(-1) @ theta)
-    return lam * float(theta @ theta) + loss / data.m
+    if layout is None:
+        layout = _exact_data(data, space)
+    return _exact_pass(theta, layout, lam)[0]
 
 
 def gradient(
@@ -194,17 +227,17 @@ def gradient(
     mcmc_epsilon: float = 0.05,
     mcmc_delta: float = 0.05,
     rng: np.random.Generator = None,
+    layout: Optional[_ExactData] = None,
 ) -> np.ndarray:
-    """2*lam*theta + (1/m) * sum_i (E_{pi}[phi] - phi(x_i, y_i))."""
+    """2*lam*theta + (1/m) * sum_i (E_{pi}[phi] - phi(x_i, y_i)).
+
+    In exact mode, ``layout`` is as for ``objective``; mcmc mode ignores it.
+    """
     theta = np.asarray(theta, dtype=float)
     if mode == EXACT_ORACLE:
-        ed = _exact_data(data, space)
-        expected = np.zeros((ed.xs.shape[1], len(ed.features)))
-        for b, scores, ln_z in _exact_blocks(theta, ed):
-            probs = np.exp(scores - ln_z[:, None])
-            expected += ed.xs[b].T @ (ed.counts[b, None] * probs)
-        terms = (expected @ ed.features - ed.observed).reshape(-1)
-        return 2.0 * lam * theta + terms / data.m
+        if layout is None:
+            layout = _exact_data(data, space)
+        return _exact_pass(theta, layout, lam)[1]
     params = Params(theta, lam=lam)
     S = hoeffding_sample_size(1.0, 1.0, mcmc_epsilon, mcmc_delta)
     expectation = np.zeros_like(theta)
@@ -230,7 +263,9 @@ def train(
     or after max_iters evaluations, taking no step after the last one, so
     the returned theta is the last trace row's.  A failed gradient estimate
     propagates at once.  The exact objective is recorded on every space of
-    at most ENUMERATION_CAP structures, and as nan above it.  Iterations
+    at most ENUMERATION_CAP structures, and as nan above it.  The dataset's
+    layout against the label matrix is built once, and each iteration's
+    exact gradient and recorded objective share one pass.  Iterations
     whose total work exceeds MAX_EXPECTED_PROPOSALS are refused before the
     first, as EpochBudgetExhausted naming the estimate.
     """
@@ -244,13 +279,15 @@ def train(
     if step0 is None:
         step0 = 1.0 / (2.0 * config.lam + 1.0)
     record_objective = space.count() <= ENUMERATION_CAP
+    exact = config.gradient_mode == EXACT_ORACLE
+    layout = _exact_data(data, space) if exact or record_objective else None
     grad_args = (data, space, config.lam, config.gradient_mode,
-                 config.mcmc_epsilon, config.mcmc_delta, rng)
+                 config.mcmc_epsilon, config.mcmc_delta, rng, layout)
     trace = TrainTrace()
     start = time.perf_counter()
     for t in range(config.max_iters):
         g = gradient(theta, *grad_args)
-        obj = objective(theta, data, space, config.lam) if record_objective else nan
+        obj = objective(theta, data, space, config.lam, layout) if record_objective else nan
         grad_norm = float(np.linalg.norm(g))
         trace.rows.append(
             TraceRow(t, obj, grad_norm, float(np.linalg.norm(theta)),

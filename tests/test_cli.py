@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import warnings
 from math import log
 
 import numpy as np
@@ -139,6 +141,35 @@ def test_partition_oracle_flag(capsys):
     assert doc["relative_error"] <= 0.2  # one seeded run; holds w.p. >> 3/4
 
 
+def test_main_builds_one_parser_and_keeps_no_state_between_calls(
+        tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.9}))
+    base = ["partition", "--space", "hypercube:3", "--theta-random", "0.5",
+            "--seed", "1"]
+    assert run(base + ["--config", str(cfg), "--oracle"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["epsilon"] == 0.9 and "oracle_log_value" in first
+    assert run(base) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["epsilon"] == 0.2 and "oracle_log_value" not in second
+    with pytest.raises(SystemExit) as bad:
+        run(base + ["--no-such-flag"])
+    assert bad.value.code == 2
+    assert run(base + ["--eps", "0.2"]) == 0
+    assert json.loads(capsys.readouterr().out) == second
+    assert built.count("structprob") == 1
+
+
 def test_partition_median_boost(capsys):
     assert run([
         "partition", "--space", "hypercube:4", "--theta-random", "1.0",
@@ -234,6 +265,17 @@ def test_sample_prices_all_draws_before_the_first(capsys, sampler):
         "sample", "--space", "hypercube:3", "--theta-random", "1", "--seed", "1",
         "--n", "1000000000000", "--sampler", sampler,
     ], 3, ESTIMATE)
+
+
+def test_infinite_certificate_bound_is_refused_without_warnings(capsys):
+    # beta*B*R overflows to inf: the tabled price is inf, not a nan from
+    # scoring the table at an infinite beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _refused_quickly(capsys, [
+            "sample", "--seed", "1", "--space", "hypercube:3",
+            "--theta-random", "10", "--beta", "1e308",
+        ], 3, r"beta\*B\*R = inf expects about inf proposals")
 
 
 def test_predict_prices_its_proposals_before_the_first_draw(tmp_path, capsys):

@@ -21,6 +21,7 @@ from structprob import (
     Permutations,
     RootedTree,
     Subtrees,
+    TrainConfig,
     ZeroInput,
     build_schedule,
     estimate_gradient,
@@ -34,6 +35,7 @@ from structprob import (
     oracle_ratio_moments,
     oracle_ratio_range,
     random_unit_theta,
+    train,
 )
 from structprob.partition import EXACT
 from structprob.samplers import GibbsTarget
@@ -145,6 +147,50 @@ def test_batched_pass_matches_untabled_fallback(space, monkeypatch):
                                    rtol=1e-12)
         np.testing.assert_allclose(oracle_ratio_range(schedule, i, target),
                                    (f.min(), f.max()), rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mcmc"])
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
+def test_train_builds_one_layout_and_makes_one_pass_per_iteration(
+        mode, tabled, monkeypatch):
+    space = Hypercube(4)
+    data = real_input_dataset(space, seed=306)  # 5 unique inputs
+    if not tabled:
+        space = untabled_copy(space, monkeypatch)
+    monkeypatch.setattr(training_mod, "_BLOCK_ENTRIES", 2 * space.count())
+    calls = {"layouts": 0, "passes": 0, "blocks": 0}
+    steps = []  # (theta, gradient) per gradient call
+    layout, blocks, grad = (training_mod._exact_data, training_mod._exact_blocks,
+                            training_mod.gradient)
+
+    def counted_layout(*args):
+        calls["layouts"] += 1
+        return layout(*args)
+
+    def counted_blocks(*args):
+        calls["passes"] += 1
+        for block in blocks(*args):
+            calls["blocks"] += 1
+            yield block
+
+    def recorded_gradient(theta, *args, **kwargs):
+        g = grad(theta, *args, **kwargs)
+        steps.append((theta, g))
+        return g
+
+    monkeypatch.setattr(training_mod, "_exact_data", counted_layout)
+    monkeypatch.setattr(training_mod, "_exact_blocks", counted_blocks)
+    monkeypatch.setattr(training_mod, "gradient", recorded_gradient)
+    config = TrainConfig(lam=0.5, max_iters=4, gradient_mode=mode, tolerance=0.0,
+                         mcmc_epsilon=0.5, mcmc_delta=0.5)
+    _, trace = train(data, space, config, rng=np.random.default_rng(307))
+    assert len(trace.rows) == len(steps) == 4
+    assert calls == {"layouts": 1, "passes": 4, "blocks": 12}
+    for row, (theta, g) in zip(trace.rows, steps):
+        assert row.objective == objective(theta, data, space, config.lam)
+        if mode == "exact":
+            g = gradient(theta, data, space, config.lam)
+        assert row.grad_norm == float(np.linalg.norm(g))
 
 
 def test_target_table_scores_and_expectation_match_joint_features():
