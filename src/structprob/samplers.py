@@ -265,7 +265,7 @@ def _logsumexp(v: np.ndarray) -> float:
 def _format_log_count(log_n: float) -> str:
     """exp(log_n) in scientific notation, without overflowing."""
     if not isfinite(log_n):
-        return str(log_n)  # inf, or nan from an infinite score bound
+        return str(log_n)  # inf or nan
     exponent = floor(log_n / log(10.0))
     mantissa = 10.0 ** (log_n / log(10.0) - exponent)
     if mantissa >= 9.95:  # would print as 10.0
