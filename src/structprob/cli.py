@@ -77,6 +77,15 @@ from .training import (
 
 CONFIG_ERROR, ESTIMATOR_ERROR, VERIFY_ERROR = 2, 3, 4
 
+# verify's five chi-square checks (four uniformity checks and the CFTP law)
+# share one family-wise level, split equally among them, so correct code
+# fails verify with probability at most VERIFY_LEVEL.  Each check draws
+# VERIFY_SAMPLES structures by default: twice the 50,000 it drew when each
+# check ran at level 0.01, which keeps its power against every planted bias
+# that the old test caught at least one time in ten.
+VERIFY_LEVEL = 0.01
+VERIFY_SAMPLES = 100_000
+
 
 class ConfigError(Exception):
     pass
@@ -255,7 +264,7 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else VERIFY_ERROR
 
 
-def run_verification(seed: int = 20240, samples: int = 50_000) -> list[dict]:
+def run_verification(seed: int = 20240, samples: int = VERIFY_SAMPLES) -> list[dict]:
     """Oracle invariant suite; each entry is {name, pass, detail}."""
     checks: list[dict] = []
 
@@ -270,13 +279,14 @@ def run_verification(seed: int = 20240, samples: int = 50_000) -> list[dict]:
         Subtrees(RootedTree((0, 0, 0, 1))),
         CyclicPermutations(4),
     ]
+    level = VERIFY_LEVEL / (len(small_spaces) + 1)  # and cftp-distribution
     # uniformity of the exact uniform samplers
     for i, space in enumerate(small_spaces):
         zero = GibbsTarget(space, Params(np.zeros(space.feature_dim)), beta=0.0)
         dist = exact_distribution(zero)
         rng = stream(seed, 10, i)
         draws = space.structures(space.sample_uniform(rng, samples))
-        res = chi_square_gof(draws, dist, 0.01)
+        res = chi_square_gof(draws, dist, level)
         add(f"uniformity:{space.kind}", res.passed, {"statistic": res.statistic,
                                                      "threshold": res.threshold})
 
@@ -337,7 +347,7 @@ def run_verification(seed: int = 20240, samples: int = 50_000) -> list[dict]:
     cftp_target = GibbsTarget(
         cftp_space, Params(cftp_theta, norm_budget=1.0), beta=1.0)
     ys, _ = sample_exact_cftp(cftp_target, samples, stream(seed, 14))
-    res = chi_square_gof(ys, exact_distribution(cftp_target), 0.01)
+    res = chi_square_gof(ys, exact_distribution(cftp_target), level)
     add("cftp-distribution", res.passed,
         {"statistic": res.statistic, "threshold": res.threshold})
     return checks
@@ -444,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the oracle invariant suite")
     common(p_verify, space=False)
-    p_verify.add_argument("--samples", type=int, default=50_000)
+    p_verify.add_argument("--samples", type=int, default=VERIFY_SAMPLES,
+                          help="draws per chi-square check")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -33,6 +33,7 @@ from .model import FEATURE_NORM_BOUND, ln_count
 from .samplers import (
     GibbsTarget,
     _approx_batch_indices,
+    _ceiling_text,
     _cftp_batch_indices,
     _check_work,
     _logsumexp,
@@ -213,16 +214,16 @@ def check_partition_work(
     MAX_EXPECTED_PROPOSALS, before the grid or any draw; returns
     (l, S, eps_tv) of one run.
 
-    Each run is priced by the S draws of its costliest ratio: certificates
-    get no cheaper as beta rises to 1, and every chain runs the same mixing
-    bound.
+    Each run is priced by the S draws of its costliest ratio, the one at
+    beta = 1: delta_beta only falls as beta rises, so certificates get no
+    cheaper and chains no shorter.
     """
     l = 1 + _grid(FEATURE_NORM_BOUND, target.params.theta_norm, p)[1]
     S = sample_size(epsilon, l, p)
     what = f"{runs} partition estimates of {S} draws per ratio"
     if mode == EXACT:
         _check_work(log(runs * S) + target.log_rounds_per_certificate,
-                    f"{what} at beta*B*R = {target.score_bound:.6g} expect")
+                    f"{what} at {_ceiling_text(target)} expect")
         return l, S, None
     eps_tv = tv_target(epsilon, l, p)
     steps = target.mixing_steps(eps_tv)

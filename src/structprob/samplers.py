@@ -2,10 +2,15 @@
 
 The target density is pi_beta(y) proportional to exp(beta * <phi(x, y), theta>).
 The Metropolis chain here proposes a fresh uniform structure each step and
-accepts with probability min(1, pi(z)/pi(y)); because the proposal is an exact
-uniform sampler, the chain's acceptance probability never drops below
-exp(-2*beta*B*R), which yields three samplers, each drawing n independent
-samples in one call:
+accepts with probability min(1, pi(z)/pi(y)).  Every score lies below a
+beta-free ceiling s_max (``GibbsTarget.score_ceiling``): the largest score of
+the table on a tabled target, else the worst case B*R.  So one step moves
+anywhere with probability at least
+
+    delta_beta = E_{z uniform} exp(beta * (score(z) - s_max)),
+
+exact on a tabled target and at least exp(-2*beta*B*R) otherwise, which
+yields three samplers, each drawing n independent samples in one call:
 
 * ``sample_exact_cftp(target, n, rng)`` -- exact samples via coupling from
   the past, with each run's certificate depth,
@@ -21,12 +26,15 @@ MAX_EXPECTED_PROPOSALS.
 Coalescence in CFTP is detected through a conservative certificate: with
 shared per-step randomness (z_t, u_t), the event
 
-    u_t <= exp(beta * (score(z_t) - B*R))
+    u_t <= exp(beta * (score(z_t) - s_max))
 
 forces every chain, whatever its current state, to accept z_t, so all chains
 are provably in the same state from that step on.  The certificate can only
-delay detection, never fake it, so exactness is preserved; its expected
-firing depth is at most exp(2*beta*B*R).
+delay detection, never fake it, so exactness is preserved; it fires with
+probability delta_beta per step, so its expected depth is 1/delta_beta:
+exact (and at most |Y|) on a tabled target, at most exp(2*beta*B*R) on an
+untabled one.  The same delta_beta is the Doeblin constant of the
+approximate sampler's chain, so one number prices all three samplers.
 
 That event is also the rejection sampler's accept.  So both exact samplers
 share one certificate search, CFTP adding a Metropolis replay of the earlier
@@ -82,8 +90,8 @@ class GibbsTarget:
     """A space, parameters and inverse temperature defining pi_beta.
 
     ``x`` of None selects the label-only feature map.  ``beta`` must be
-    non-negative; values in [0, 1] are the cooling-schedule regime, larger
-    values are used by annealed MAP prediction.
+    finite and non-negative; values in [0, 1] are the cooling-schedule
+    regime, and ``sample --beta`` accepts larger ones.
     """
 
     space: OutputSpace
@@ -111,6 +119,15 @@ class GibbsTarget:
     def score_bound(self) -> float:
         """B*R, an upper bound on |score| over the whole space."""
         return effective_norm_budget(self.params, self.space) * FEATURE_NORM_BOUND
+
+    @cached_property
+    def score_ceiling(self) -> float:
+        """s_max, a beta-free upper bound on the score of every structure:
+        the table's largest score clamped to B*R, or B*R untabled."""
+        table = self.table
+        if table is None:
+            return self.score_bound
+        return min(float(table.scores.max()), self.score_bound)
 
     @cached_property
     def unit_input(self) -> Optional[np.ndarray]:
@@ -195,33 +212,39 @@ class GibbsTarget:
 
     @cached_property
     def log_rounds_per_certificate(self) -> float:
-        """-ln P(a uniform proposal certifies), P = E_z exp(beta*(s(z) - B*R)).
+        """-ln delta_beta, delta_beta = E_z exp(beta*(s(z) - s_max)) the
+        probability that a uniform proposal certifies.
 
-        Exact on a tabled target; otherwise the bound 2*beta*B*R.  Infinite
-        when beta*B*R is not finite, without scoring the table.
+        Exact, and at most ln|Y|, on a tabled target; otherwise the bound
+        2*beta*B*R.  Infinite when beta*B*R is not finite, without scoring
+        the table.
         """
         bound = self.beta * self.score_bound
         if not isfinite(bound):
             return inf
         if self.table is None:
             return 2.0 * bound
-        w = self.beta * self.table.scores - bound
+        w = self.beta * (self.table.scores - self.score_ceiling)
         return log(len(w)) - _logsumexp(w)
 
     def mixing_steps(self, eps_tv: float) -> int:
-        """Chain steps within eps_tv total variation of pi_beta.
+        """Chain steps within eps_tv total variation of pi_beta, from any start.
 
-        The mixing bound at the target's budget B and R = 1, without the
-        beta factor, which is conservative for beta < 1.
+        ceil(ln(1/eps_tv) / -ln(1 - delta_beta)): every step moves to a
+        pi_beta draw with probability at least delta_beta, the certificate's
+        firing probability (Liu 1996).  Exact on a tabled target; untabled,
+        delta_beta is bounded by exp(-2*beta*B*R), the paper's bound at
+        budget beta*B.
         """
-        budget = effective_norm_budget(self.params, self.space)
-        return mixing_time_bound(budget, FEATURE_NORM_BOUND, eps_tv)
+        return _doeblin_steps(self.log_rounds_per_certificate, eps_tv,
+                              f"the mixing bound at {_ceiling_text(self)} is")
 
     def at_beta(self, beta: float) -> "GibbsTarget":
         """Same space and parameters at a different inverse temperature."""
         other = dataclasses.replace(self, beta=beta)
-        if "table" in self.__dict__:  # scores are beta-free, safe to share
-            other.__dict__["table"] = self.__dict__["table"]
+        for name in ("table", "score_ceiling"):  # beta-free, safe to share
+            if name in self.__dict__:
+                other.__dict__[name] = self.__dict__[name]
         return other
 
 
@@ -234,18 +257,28 @@ def _draw_proposal(target: GibbsTarget, rng: np.random.Generator):
 def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
     """Steps after which the chain is within eps_tv total variation.
 
-    ceil(ln(1/eps) / -ln(1 - exp(-2BR))); 0 steps for eps_tv = 1 and a
-    single step in the degenerate B*R = 0 case, where the first accepted
-    proposal is already an exact sample.  For 2BR > ln 2 the denominator is
-    evaluated as -log1p(-exp(-2BR)), which stays positive long after
-    1 - exp(-2BR) rounds to 1.  Raises EpochBudgetExhausted when the bound
-    exceeds MAX_EXPECTED_PROPOSALS.
+    The paper's bound ceil(ln(1/eps) / -ln(1 - exp(-2BR))), valid at beta
+    <= 1; 0 steps for eps_tv = 1 and a single step in the degenerate
+    B*R = 0 case, where the first accepted proposal is already an exact
+    sample.  Raises EpochBudgetExhausted when the bound exceeds
+    MAX_EXPECTED_PROPOSALS.
+    """
+    return _doeblin_steps(2.0 * B * R, eps_tv, f"the mixing bound at B*R = {B * R:.6g} is")
+
+
+def _doeblin_steps(a: float, eps_tv: float, what: str) -> int:
+    """ceil(ln(1/eps_tv) / -ln(1 - e^-a)): steps of a chain that moves to an
+    exact draw with probability at least delta = e^-a per step.
+
+    0 steps for eps_tv = 1 and one for a <= 0.  For a > ln 2 the
+    denominator is evaluated as -log1p(-exp(-a)), which stays positive long
+    after 1 - exp(-a) rounds to 1.  Raises EpochBudgetExhausted, with
+    ``what`` naming the bound, when it exceeds MAX_EXPECTED_PROPOSALS.
     """
     if not 0 < eps_tv <= 1:
         raise ValueError("eps_tv must be in (0, 1]")
     if eps_tv == 1:
         return 0
-    a = 2.0 * B * R
     if a <= 0.0:
         return 1
     # -ln(1 - e^-a) without cancellation at either end (Maechler's log1mexp)
@@ -253,7 +286,7 @@ def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
     # the log of the bound stays finite where the bound itself would not;
     # -ln(1 - e^-a) tends to e^-a, which is what an underflowed denom means
     log_steps = log(log(1.0 / eps_tv)) - (log(denom) if denom > 0.0 else -a)
-    _check_work(log_steps, f"the mixing bound at B*R = {B * R:.6g} is", "steps")
+    _check_work(log_steps, what, "steps")
     return ceil(log(1.0 / eps_tv) / denom)
 
 
@@ -276,7 +309,7 @@ def _format_log_count(log_n: float) -> str:
 def expected_proposals(target: GibbsTarget, n: int) -> float:
     """Expected proposals of n certificate runs (CFTP or rejection).
 
-    n / E_z exp(beta*(s(z) - B*R)): exact on a tabled target, and the bound
+    n / delta_beta: exact on a tabled target, and the bound
     n * exp(2*beta*B*R) otherwise.  inf where the count overflows a float.
     """
     log_rounds = target.log_rounds_per_certificate
@@ -296,12 +329,20 @@ def _check_work(log_work: float, what: str, unit: str = "proposals") -> None:
         )
 
 
+def _ceiling_text(target: GibbsTarget) -> str:
+    """The ceiling a certificate price used, for refusal messages:
+    beta*s_max on a tabled target, else beta*B*R."""
+    bound = target.beta * target.score_bound
+    if target.table is None or not isfinite(bound):
+        return f"beta*B*R = {bound:.6g}"
+    return f"beta*s_max = {target.beta * target.score_ceiling:.6g}"
+
+
 def _check_expected_proposals(target: GibbsTarget, n: int) -> None:
     """Refuse n certificate runs expected to need too many proposals."""
     _check_work(
         log(n) + target.log_rounds_per_certificate if n else -inf,
-        f"a certificate search for {n} runs at beta*B*R = "
-        f"{target.beta * target.score_bound:.6g} expects",
+        f"a certificate search for {n} runs at {_ceiling_text(target)} expects",
     )
 
 
@@ -309,8 +350,9 @@ def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator):
     """First certificates of n runs, with each run's earlier rounds.
 
     Round r proposes once for every run still open and draws its log u; a
-    run ends at its first hit, log u <= beta*s(z) - beta*B*R, and its depth
-    is that round's number.  Returns (keys, scores, depths, history): the
+    run ends at its first hit, log u <= beta*s(z) - beta*s_max, and its depth
+    is that round's number: geometric with mean 1/delta_beta, exactly so on
+    a tabled target.  Returns (keys, scores, depths, history): the
     hit proposals, and each round as (open runs, keys, scores, log u, hit).
     Raises EpochBudgetExhausted before any draw when the expected number of
     proposals exceeds MAX_EXPECTED_PROPOSALS.  Below that limit each open
@@ -319,7 +361,7 @@ def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator):
     """
     _check_expected_proposals(target, n)
     beta = target.beta
-    bound = beta * target.score_bound
+    bound = beta * target.score_ceiling
     runs = np.arange(n)
     history = []
     while True:  # round 1 always runs: it covers every run, even for n = 0
@@ -380,8 +422,9 @@ def sample_rejection(
     proposal; returns (samples, trial counts).
 
     A uniform draw z is accepted with probability
-    exp(beta * (score(z) - B*R)) <= 1, so accepted draws follow pi_beta
-    exactly and the expected number of trials is at most exp(2*beta*B*R).
+    exp(beta * (score(z) - s_max)) <= 1, so accepted draws follow pi_beta
+    exactly and the expected number of trials is 1/delta_beta: exact (at
+    most |Y|) on a tabled target, at most exp(2*beta*B*R) otherwise.
     Refused before any draw like ``sample_exact_cftp``.
     """
     keys, _, trials, _ = _certificate_rounds(target, n, rng)

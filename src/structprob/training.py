@@ -306,13 +306,19 @@ def train(
 def _check_train_work(data, space, config, radius) -> None:
     """Refuse, before the first iteration, max_iters iterations whose work
     exceeds MAX_EXPECTED_PROPOSALS: u*|Y| scores for an exact pass over u
-    unique inputs, and u*S certificate runs of at most exp(2*B) proposals
-    each for an mcmc estimate, with B the projection radius sqrt(ln|Y|/lam)."""
+    unique inputs, and u*S certificate runs for an mcmc estimate.  A run
+    expects at most exp(2*B) proposals, with B the projection radius
+    sqrt(ln|Y|/lam), and at most |Y| on a tabled space, whose exact score
+    ceiling gives every structure a certificate probability of at least
+    1/|Y|."""
     u = len(_unique_inputs(data)[0])
     what = f"{config.max_iters} training iterations over {u} unique inputs"
     if config.gradient_mode == MCMC:
         S = hoeffding_sample_size(1.0, 1.0, config.mcmc_epsilon, config.mcmc_delta)
-        _check_work(log(config.max_iters * u * S) + 2.0 * radius,
+        log_rounds = 2.0 * radius
+        if space.label_table is not None:
+            log_rounds = min(log_rounds, ln_count(space))
+        _check_work(log(config.max_iters * u * S) + log_rounds,
                     f"{what}, {S} mcmc draws per input, expect")
     else:
         _check_work(log(config.max_iters * u) + ln_count(space),
