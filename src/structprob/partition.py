@@ -214,20 +214,20 @@ def check_partition_work(
     MAX_EXPECTED_PROPOSALS, before the grid or any draw; returns
     (l, S, eps_tv) of one run.
 
-    Each run is priced by the S draws of its costliest ratio, the one at
-    beta = 1: delta_beta only falls as beta rises, so certificates get no
+    Each of a run's l ratios is priced as S draws at beta = 1, the
+    costliest: delta_beta only falls as beta rises, so certificates get no
     cheaper and chains no shorter.
     """
     l = 1 + _grid(FEATURE_NORM_BOUND, target.params.theta_norm, p)[1]
     S = sample_size(epsilon, l, p)
-    what = f"{runs} partition estimates of {S} draws per ratio"
+    what = f"{runs} partition estimates of {l} ratios of {S} draws"
     if mode == EXACT:
-        _check_work(log(runs * S) + target.log_rounds_per_certificate,
+        _check_work(log(runs * l * S) + target.log_rounds_per_certificate,
                     f"{what} at {_ceiling_text(target)} expect")
         return l, S, None
     eps_tv = tv_target(epsilon, l, p)
     steps = target.mixing_steps(eps_tv)
-    _check_work(log(runs * S * (steps + 1)), f"{what}, {steps} steps each, need")
+    _check_work(log(runs * l * S * (steps + 1)), f"{what}, {steps} steps each, need")
     return l, S, eps_tv
 
 

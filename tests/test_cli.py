@@ -19,10 +19,12 @@ from structprob import (
     Instance,
     Params,
     Permutations,
+    RootedTree,
     Structure,
     Subtrees,
     estimate_partition,
     exact_argmax,
+    exact_distribution,
     load_model,
     make_toy_dataset,
     objective,
@@ -225,10 +227,11 @@ def test_missing_seed_is_config_error():
 
 
 def test_sampler_budget_exhaustion_exit_code(tmp_path):
-    # a tiny lambda makes the derived score bound astronomically large, so
-    # the certificate search is refused before its first draw
+    # a tiny lambda makes the derived score bound astronomically large; on an
+    # untabled space that bound prices the certificate search, which is
+    # refused before its first draw
     code = run([
-        "sample", "--space", "hypercube:4", "--theta-random", "1.0",
+        "sample", "--space", "hypercube:13", "--theta-random", "1.0",
         "--lambda", "1e-12", "--n", "1", "--seed", "6", "--sampler", "cftp",
     ])
     assert code == 3
@@ -327,11 +330,30 @@ def test_train_prices_all_iterations_before_the_first(tmp_path, capsys, mode, pa
                      3, pattern)
 
 
+def test_tabled_mcmc_training_prices_certificates_at_most_ln_count(tmp_path, capsys):
+    # lambda 1e-6 makes the radius about 1442, so exp(2*B) would refuse the
+    # run; on a tabled space a certificate expects at most |Y| proposals
+    assert run(["train", "--data", "toy:hypercube:3", "--mode", "mcmc",
+                "--lambda", "1e-6", "--iters", "2", "--seed", "1",
+                "--model-out", str(tmp_path / "m.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 2
+
+
+@pytest.mark.parametrize("sampler", ["cftp", "rejection", "approx"])
+def test_tabled_sample_over_the_limit_is_still_refused(capsys, sampler):
+    # each draw is cheap at the exact ceiling, a million of them are not
+    _refused_quickly(capsys, [
+        "sample", "--space", "hypercube:6", "--theta-random", "40",
+        "--norm-budget", "40", "--n", "1000000", "--seed", "1", "--sampler", sampler,
+    ], 3, (r"1000000 approximate draws of \d+ steps each need " if sampler == "approx"
+           else r"1000000 runs at beta\*s_max = [\d.]+ expects ") + ESTIMATE)
+
+
 def test_partition_prices_all_runs_before_the_first(capsys):
     _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--theta-random",
                               "1", "--runs", "1000000000", "--seed", "1"],
-                     3, r"1000000000 partition estimates of \d+ draws per ratio at "
-                        r"beta\*B\*R = [\d.]+ expect " + ESTIMATE)
+                     3, r"1000000000 partition estimates of \d+ ratios of \d+ draws "
+                        r"at beta\*s_max = [\d.]+ expect " + ESTIMATE)
     _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--runs", "0",
                               "--seed", "1"], 2, "runs must be >= 1")
 
@@ -424,8 +446,9 @@ def test_partition_config_switch_must_be_boolean(tmp_path):
 
 
 def test_approx_sampler_refuses_an_unrunnable_mixing_bound(capsys):
+    # untabled, the mixing bound is priced at 2*beta*B*R = 60
     code = run([
-        "sample", "--space", "hypercube:6", "--theta-random", "30",
+        "sample", "--space", "hypercube:13", "--theta-random", "30",
         "--norm-budget", "30", "--sampler", "approx", "--seed", "1",
     ])
     assert code == 3
@@ -516,6 +539,80 @@ def test_train_predict_with_real_input_features(tmp_path):
         assert space.contains(Structure("hypercube", payload))
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_verify_passes_on_seeds_that_failed_at_level_001_per_check(seed):
+    # seed 0 failed uniformity:hypercube when each of the five chi-square
+    # checks ran at level 0.01 on 50,000 draws
+    assert run(["verify", "--seed", str(seed), "--out", os.devnull]) == 0
+
+
+def _verify_laws(seed=20240):
+    """The exact laws verify's five chi-square checks test against."""
+    spaces = [Hypercube(4), Permutations(3), Subtrees(RootedTree((0, 0, 0, 1))),
+              CyclicPermutations(4)]
+    laws = [np.full(space.count(), 1.0 / space.count()) for space in spaces]
+    theta = random_unit_theta(4, stream(seed, 13))
+    laws.append(exact_distribution(
+        GibbsTarget(Hypercube(4), Params(theta, norm_budget=1.0))).probs)
+    return laws
+
+
+def test_verify_checks_keep_their_power_at_the_split_level():
+    # Pearson's statistic under a bias q of the checked law p is noncentral
+    # chi-square with lambda = n * sum (q - p)^2 / p, whatever the bias.  So
+    # the old checks (level 0.01, 50,000 draws) and the new ones are compared
+    # over every lambda at which the old check caught its bias at least one
+    # time in ten.
+    from scipy import stats
+
+    level = cli.VERIFY_LEVEL / 5
+    ratio = cli.VERIFY_SAMPLES / 50_000
+    for law in _verify_laws():
+        dof = len(law) - 1
+        old_t, new_t = stats.chi2.isf(0.01, dof), stats.chi2.isf(level, dof)
+        for lam in np.linspace(0.05, 80.0, 400):
+            old = stats.ncx2.sf(old_t, dof, lam)
+            if 0.1 <= old:
+                assert stats.ncx2.sf(new_t, dof, ratio * lam) >= old, (dof, lam)
+
+
+def test_verify_checks_power_against_planted_biased_samplers():
+    # a sampler that returns the checked law's rarest cell with extra
+    # probability b, with b set so the old check caught it half the time:
+    # the rejection rates of 4,000 simulated checks on each side
+    from scipy import optimize, stats
+
+    rng = np.random.default_rng(130)
+    for law in _verify_laws():
+        k, dof = int(np.argmin(law)), len(law) - 1
+        old_t = stats.chi2.isf(0.01, dof)
+        lam = optimize.brentq(lambda x: stats.ncx2.sf(old_t, dof, x) - 0.5, 1e-6, 200.0)
+        # sum (q - p)^2 / p = b^2 (1 - p_k) / p_k for q = (1 - b) p + b e_k
+        b = np.sqrt(lam / (50_000 * (1.0 - law[k]) / law[k]))
+        biased = (1.0 - b) * law + b * np.eye(len(law))[k]
+        rates = []
+        for level, n in ((0.01, 50_000), (cli.VERIFY_LEVEL / 5, cli.VERIFY_SAMPLES)):
+            counts = rng.multinomial(n, biased, size=4000)
+            statistic = ((counts - n * law) ** 2 / (n * law)).sum(axis=1)
+            rates.append(float((statistic > stats.chi2.isf(level, dof)).mean()))
+        assert abs(rates[0] - 0.5) < 0.04, rates
+        assert rates[1] > rates[0], rates
+
+
+def test_verify_fails_on_a_planted_biased_sampler(monkeypatch, capsys):
+    sample_uniform = CyclicPermutations.sample_uniform
+
+    def biased(self, rng, n):
+        rows = sample_uniform(self, rng, n)
+        rows[rng.random(n) < 0.02] = rows[0]
+        return rows
+
+    monkeypatch.setattr(CyclicPermutations, "sample_uniform", biased)
+    assert run(["verify", "--seed", "3"]) == 4
+    checks = {c["name"]: c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert [name for name, ok in checks.items() if not ok] == ["uniformity:cycles"]
+
+
 def test_verify_passes(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", "--seed", "20240", "--samples", "20000",
@@ -530,8 +627,8 @@ def test_verify_passes(tmp_path):
 
 
 def test_partition_refuses_hopeless_exact_sampling(capsys):
-    # about 2.5e20 expected proposals: refused with the estimate, not run;
-    # likewise about 4e12 proposals of approximate chains
+    # about 1.6e9 expected proposals over 120 ratios: refused with the
+    # estimate, not run; likewise about 1.7e10 proposals of approximate chains
     for space, norm, extra in (("hypercube:6", "40", ["--eps", "0.2"]),
                                ("hypercube:12", "5", ["--eps", "0.01", "--mode",
                                                       "approximate"])):

@@ -1,4 +1,4 @@
-from math import exp
+from math import exp, log
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from structprob import (
     sample_approx,
     sample_exact_cftp,
     sample_rejection,
+    stream,
 )
 from structprob.samplers import (
     MAX_EXPECTED_PROPOSALS,
@@ -203,10 +204,12 @@ def test_cftp_reports():
 
 
 def test_cftp_budget_exhaustion():
-    # a tiny lam inflates the derived budget so the certificate cannot fire
-    space = Hypercube(4)
-    theta = random_unit_theta(4, np.random.default_rng(56))
+    # a tiny lam inflates the derived budget, which prices the certificate
+    # on an untabled space
+    space = Hypercube(13)
+    theta = random_unit_theta(13, np.random.default_rng(56))
     target = GibbsTarget(space, Params(theta, lam=1e-12), beta=1.0)
+    assert target.table is None
     rng = np.random.default_rng(57)
     state = rng.bit_generator.state
     for n in (1, 100):
@@ -422,12 +425,12 @@ def test_untabled_batch_samplers_match_oracle():
 
 def test_hopeless_certificate_search_is_refused_up_front():
     space = Hypercube(6)
-    target = unit_target(space, seed=97, norm=40.0)
+    target = untabled(unit_target(space, seed=97, norm=40.0))
     assert expected_proposals(target, 1) > MAX_EXPECTED_PROPOSALS
     with pytest.raises(EpochBudgetExhausted, match=r"e\+\d+ proposals"):
         sample_exact_cftp(target, 10, np.random.default_rng(98))
     with pytest.raises(EpochBudgetExhausted, match="proposals"):
-        sample_rejection(untabled(target), 1, np.random.default_rng(98))
+        sample_rejection(target, 1, np.random.default_rng(98))
 
 
 def test_expected_proposals_is_the_mean_certificate_depth():
@@ -438,3 +441,150 @@ def test_expected_proposals_is_the_mean_certificate_depth():
     assert depths.sum() == pytest.approx(expected_proposals(target, n), rel=0.05)
     bounded = untabled(unit_target(Hypercube(6), seed=99, norm=1.5))
     assert expected_proposals(bounded, n) == pytest.approx(n * exp(3.0))
+
+
+# ------------------------------------------- exact ceiling: laws and prices
+
+def metropolis_laws(scores, beta, starts, at):
+    """{t: exact laws after t transitions} for each step count t in ``at``,
+    of the uniform-proposal Metropolis chain started from each row of
+    ``starts``.
+
+    From y the chain moves to z != y with probability
+    min(1, exp(beta*(s_z - s_y))) / |Y|.  States are sorted by score, so one
+    transition is a few cumulative sums instead of a |Y| x |Y| product.
+    """
+    n = len(scores)
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    up = np.exp(beta * (s - s[-1]))  # e^{beta (s_z - s_max)} <= 1
+    down = np.exp(beta * (s[-1] - s))  # its inverse
+    below = np.searchsorted(s, s, side="left")  # states scoring less
+    at_most = np.searchsorted(s, s, side="right")  # states scoring no more
+    zero = np.zeros((len(starts), 1))
+    stay = 1.0 - ((n - below - 1) + down * np.concatenate(([0.0], np.cumsum(up)))[below]) / n
+    mu = starts[:, order]
+    laws = {}
+    for t in range(max(at) + 1):
+        if t in at:
+            laws[t] = np.empty_like(mu)
+            laws[t][:, order] = mu
+        from_below = np.concatenate((zero, np.cumsum(mu, axis=1)), axis=1)[:, at_most] - mu
+        tail = np.cumsum((mu * down)[:, ::-1], axis=1)[:, ::-1]
+        from_above = np.concatenate((tail, zero), axis=1)[:, at_most]
+        mu = (from_below + up * from_above) / n + stay * mu
+    return laws
+
+
+def test_metropolis_laws_match_the_dense_transition_matrix():
+    # ties (the all-ones direction) and distinct scores, at a high beta
+    for theta in (np.ones(6), random_unit_theta(6, np.random.default_rng(120), 2.0)):
+        scores = GibbsTarget(Hypercube(6), Params(theta), beta=1.0).table.scores
+        beta, n = 3.0, len(scores)
+        move = np.minimum(1.0, np.exp(beta * (scores[None, :] - scores[:, None]))) / n
+        np.fill_diagonal(move, 0.0)
+        np.fill_diagonal(move, 1.0 - move.sum(axis=1))
+        starts = np.vstack([np.full(n, 1.0 / n), np.eye(n)[np.argmin(scores)]])
+        laws = metropolis_laws(scores, beta, starts, range(8))
+        for t, law in laws.items():
+            np.testing.assert_allclose(
+                law, starts @ np.linalg.matrix_power(move, t), rtol=0, atol=1e-13)
+
+
+BETAS = (0.3, 1.0, 3.0, 12.0, 20.0)
+EPS_TVS = (0.05, 0.01)
+
+
+def unit_directions(space):
+    """The all-ones label direction and two seeded random ones."""
+    d = space.feature_dim
+    rng = np.random.default_rng(121)
+    return [np.ones(d) / np.sqrt(d)] + [random_unit_theta(d, rng) for _ in range(2)]
+
+
+def worst_tv_over_budget(target, scores):
+    """max over eps_tv and over the uniform and lowest-score starts of
+    TV(law after mixing_steps(eps_tv), pi_beta) / eps_tv."""
+    steps = {eps: target.mixing_steps(eps) for eps in EPS_TVS}
+    w = target.beta * (scores - scores.max())
+    pi = np.exp(w) / np.exp(w).sum()
+    n = len(scores)
+    starts = np.vstack([np.full(n, 1.0 / n), np.eye(n)[np.argmin(scores)]])
+    laws = metropolis_laws(scores, target.beta, starts, set(steps.values()))
+    return max(0.5 * np.abs(laws[t] - pi).sum(axis=1).max() / eps
+               for eps, t in steps.items())
+
+
+@pytest.mark.parametrize("space", [Hypercube(10), Permutations(5), CyclicPermutations(6)],
+                         ids=lambda s: s.kind)
+def test_tabled_mixing_steps_reach_their_tv_budget(space):
+    # mixing_steps carries beta through the exact delta_beta, above beta 1 too
+    worst = 0.0
+    for u in unit_directions(space):
+        for norm in (1.0, 3.0):
+            for beta in BETAS:
+                target = GibbsTarget(space, Params(norm * u, norm_budget=norm), beta=beta)
+                assert target.table is not None
+                worst = max(worst, worst_tv_over_budget(target, target.table.scores))
+    assert worst <= 1.0
+
+
+@pytest.mark.parametrize("space", [Hypercube(8), Permutations(4), CyclicPermutations(5)],
+                         ids=lambda s: s.kind)
+def test_untabled_mixing_steps_reach_their_tv_budget(space):
+    # untabled, the bound reads 2*beta*B*R; past the limit it is refused
+    for u in unit_directions(space):
+        for norm in (1.0, 3.0):
+            for beta in BETAS:
+                target = untabled(GibbsTarget(space, Params(norm * u, norm_budget=norm),
+                                              beta=beta))
+                if log(log(1.0 / min(EPS_TVS))) + 2.0 * beta * norm > log(MAX_EXPECTED_PROPOSALS):
+                    with pytest.raises(EpochBudgetExhausted, match="steps"):
+                        target.mixing_steps(min(EPS_TVS))
+                    continue
+                assert worst_tv_over_budget(target, target.full_table().scores) <= 1.0
+
+
+def _lam_inflated(space, seed):
+    theta = random_unit_theta(space.feature_dim, np.random.default_rng(seed))
+    return GibbsTarget(space, Params(theta, lam=1e-12), beta=1.0)
+
+
+def _cli_target(space, seed, norm, **params):
+    """The target ``sample --theta-random norm --seed seed`` builds."""
+    theta = random_unit_theta(space.feature_dim, stream(seed, 101), norm=norm)
+    return GibbsTarget(space, Params(theta, **params), beta=1.0)
+
+
+# The tabled inputs that were refused while B*R priced every certificate.
+OLD_REFUSALS = {
+    "lam-1e-12": lambda: _lam_inflated(Hypercube(4), 56),
+    "cli-lam-1e-12": lambda: _cli_target(Hypercube(4), 6, 1.0, lam=1e-12),
+    "norm-40": lambda: unit_target(Hypercube(6), seed=97, norm=40.0),
+    "cli-norm-30": lambda: _cli_target(Hypercube(6), 1, 30.0, norm_budget=30.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_REFUSALS))
+def test_old_refusal_inputs_sample_exactly_at_the_priced_depth(name):
+    target = OLD_REFUSALS[name]()
+    assert target.table is not None and expected_proposals(target, 1) < 100.0
+    dist = exact_distribution(target)
+    n = 20_000
+    for i, sampler in enumerate((sample_exact_cftp, sample_rejection)):
+        ys, depths = sampler(target, n, np.random.default_rng((122, i)))
+        assert chi_square_gof(ys, dist, 0.01).passed
+        assert depths.mean() == pytest.approx(expected_proposals(target, 1), rel=0.05)
+
+
+def test_tabled_requests_over_the_limit_are_still_refused():
+    target = unit_target(Hypercube(6), seed=97, norm=40.0)  # about 53 proposals a run
+    n = 1_000_000
+    assert n * exp(target.log_rounds_per_certificate) > MAX_EXPECTED_PROPOSALS
+    rng = np.random.default_rng(123)
+    state = rng.bit_generator.state
+    for sampler in (sample_exact_cftp, sample_rejection):
+        with pytest.raises(EpochBudgetExhausted,
+                           match=r"beta\*s_max = [\d.]+ expects about 5\.3e\+07 proposals"):
+            sampler(target, n, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
