@@ -308,9 +308,9 @@ def _check_train_work(data, space, config, radius) -> None:
     exceeds MAX_EXPECTED_PROPOSALS: u*|Y| scores for an exact pass over u
     unique inputs, and u*S certificate runs for an mcmc estimate.  A run
     expects at most exp(2*B) proposals, with B the projection radius
-    sqrt(ln|Y|/lam), and at most |Y| on a tabled space, whose exact score
-    ceiling gives every structure a certificate probability of at least
-    1/|Y|."""
+    sqrt(ln|Y|/lam), and at most |Y| on a tabled space: there the score
+    ceiling is the top score, so a round certifies whenever it proposes the
+    top structure, with probability at least 1/|Y|."""
     u = len(_unique_inputs(data)[0])
     what = f"{config.max_iters} training iterations over {u} unique inputs"
     if config.gradient_mode == MCMC:
