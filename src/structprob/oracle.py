@@ -49,7 +49,7 @@ def exact_gradient(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> np.ndarra
     """Gradient of ln Z: the probability-weighted mean of joint features."""
     table, scores = _beta_scores(target, cap)
     probs = np.exp(scores - logsumexp(scores))
-    return target.expected_features(probs, table.features)
+    return target.expected_features(probs, table.labels.features)
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,14 @@ def exact_distribution(
 ) -> ExactDistribution:
     table, scores = _beta_scores(target, cap)
     log_z = float(logsumexp(scores))
-    return ExactDistribution(table.structures, np.exp(scores - log_z), log_z)
+    return ExactDistribution(table.labels.structures, np.exp(scores - log_z), log_z)
 
 
 def exact_argmax(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> Structure:
     """Highest-scoring structure; ties go to the first in canonical order."""
     table, scores = _beta_scores(target, cap)
-    return table.structures[int(np.argmax(scores))]
+    best = int(np.argmax(scores))
+    return target.space.structures(table.labels.payloads[best:best + 1])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,9 @@ from .spaces import ENUMERATION_CAP, LabelTable, OutputSpace, Structure
 # Sampler work expected to exceed this many proposals (or chain steps) is
 # refused before its first draw: that is about ten seconds of work on a
 # tabled target and minutes on an untabled one, and CFTP keeps every proposal
-# until its replay.  The largest benchmark requests expect about 4.5e5
-# (certificates) and 2.0e6 (approximate chains).
+# until its replay.  Summed over their ratios, the largest fpras-tabled
+# benchmark requests expect about 4.8e5 certificate proposals (exact mode)
+# and 3.8e5 chain proposals (approximate mode).
 MAX_EXPECTED_PROPOSALS = 10**7
 
 _LN2 = log(2.0)
@@ -74,15 +75,15 @@ _LN2 = log(2.0)
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Full enumeration of a space with beta-free scores.
+    """A space's label table with beta-free scores.
 
-    ``structures`` and ``features`` are the space's label matrix, shared
-    when the space caches it; only ``scores`` belongs to the target.
+    ``labels`` is shared when the space caches it; only ``scores`` belongs
+    to the target.  ``scores[k]`` is the score of the structure behind row k
+    of ``labels``, and a row index is a proposal key.
     """
 
-    structures: tuple[Structure, ...]
-    scores: np.ndarray  # <phi(x, y), theta> per structure
-    features: np.ndarray  # psi(y) / max||psi||, one row per structure
+    labels: LabelTable
+    scores: np.ndarray  # <phi(x, y), theta> per row
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,7 @@ class GibbsTarget:
         return self._scored(self.space.labels(cap)) if table is None else table
 
     def _scored(self, labels: LabelTable) -> ScoreTable:
-        return ScoreTable(
-            labels.structures, labels.features @ self.label_weights, labels.features
-        )
+        return ScoreTable(labels, labels.features @ self.label_weights)
 
     def propose(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n uniform proposals as (keys, beta-free scores).
@@ -181,22 +180,20 @@ class GibbsTarget:
         """
         table = self.table
         if table is not None:
-            keys = rng.integers(0, len(table.structures), n)
+            keys = rng.integers(0, len(table.scores), n)
             return keys, table.scores[keys]
         keys = self.space.sample_uniform(rng, n)
         return keys, self.space.label_rows(keys) @ self.label_weights
 
     def structures(self, keys: np.ndarray) -> list[Structure]:
-        """The structures behind proposal keys."""
+        """The structures behind proposal keys, built from their payload rows."""
         table = self.table
-        if table is None:
-            return self.space.structures(keys)
-        return [table.structures[k] for k in keys]
+        return self.space.structures(keys if table is None else table.labels.payloads[keys])
 
     def label_rows(self, keys: np.ndarray) -> np.ndarray:
         """psi_n = psi / max||psi|| of the structure behind each key, one row each."""
         table = self.table
-        return self.space.label_rows(keys) if table is None else table.features[keys]
+        return self.space.label_rows(keys) if table is None else table.labels.features[keys]
 
     def expected_features(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """E[phi] under ``probs``, a distribution over label rows psi_n.

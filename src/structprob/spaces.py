@@ -26,18 +26,25 @@ payload matrix of small integers, one row per structure:
 vectorized pass, and ``structures`` turns them into ``Structure`` objects,
 which callers build only for the draws they return.
 
+``enumerate_payloads`` lists every structure as a payload matrix in the
+sorted order of ``enumerate``: the cycles' rows start at their smallest
+vertex and step to its smaller neighbour.  ``OutputSpace.labels`` turns that
+matrix into the label table with one ``label_rows`` call: every structure's
+payload row with its normalized label features, the one input of every
+exact score, expectation and training pass.  The table builds ``Structure``
+objects only when a caller asks for them.  A space with at most
+``TABLE_CAP`` structures caches the table on the instance as
+``label_table``, so every score table over it reuses one build; larger
+spaces, up to ``ENUMERATION_CAP``, build it afresh for each exact
+computation.
+
 All spaces are immutable after construction and safe to share across threads;
 every sampling operation takes an explicit ``numpy.random.Generator``.
-``OutputSpace.labels`` turns an enumeration into the label matrix: every
-structure with its normalized label features, the one input of every exact
-score, expectation and training pass.  A space with at most ``TABLE_CAP``
-structures caches that matrix on the instance as ``label_table``, so every
-score table over it reuses one enumeration; larger spaces, up to
-``ENUMERATION_CAP``, build it afresh for each exact computation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -224,16 +231,26 @@ def subtree_counts(tree: RootedTree) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class LabelTable:
-    """Every structure of a space with its normalized label features.
+    """Every structure of a space as a payload row, with its normalized
+    label features.
 
-    Row k of ``features`` is psi(structures[k]) / max||psi||.  Nothing here
-    depends on parameters or inputs: the joint map is bilinear, so the score
-    of y under theta and x is ``features[k] @ v`` for one vector v folded
-    from theta and x, and every target on the space can share this table.
+    Row k of ``features`` is psi(y_k) / max||psi|| for the structure y_k
+    behind payload row k, and the rows follow the space's sorted enumeration
+    order.  Nothing here depends on parameters or inputs: the joint map is
+    bilinear, so the score of y_k under theta and x is ``features[k] @ v``
+    for one vector v folded from theta and x, and every target on the space
+    can share this table.  ``structures`` and ``index`` are built on first
+    use only: kernels that read row indices and scores never need them.
     """
 
-    structures: tuple[Structure, ...]
+    space: "OutputSpace"  # an equal copy: the space that caches the table is not kept
+    payloads: np.ndarray  # read-only, one payload row per structure
     features: np.ndarray  # read-only, one row per structure
+
+    @cached_property
+    def structures(self) -> tuple[Structure, ...]:
+        """The Structure behind each row."""
+        return tuple(self.space.structures(self.payloads))
 
     @cached_property
     def index(self) -> dict[Structure, int]:
@@ -265,6 +282,13 @@ class OutputSpace:
         """Yield every structure exactly once, in sorted payload order."""
         raise NotImplementedError
 
+    def enumerate_payloads(self, cap: int = ENUMERATION_CAP) -> np.ndarray:
+        """Every structure as one payload row, in the order of ``enumerate``.
+
+        Raises CapExceeded above ``cap`` structures before allocating.
+        """
+        raise NotImplementedError
+
     def contains(self, y: Structure) -> bool:
         raise NotImplementedError
 
@@ -283,17 +307,19 @@ class OutputSpace:
         raise NotImplementedError
 
     def labels(self, cap: int = ENUMERATION_CAP) -> LabelTable:
-        """Every structure with its label rows, built afresh.
+        """Every structure's payload row with its label row, built afresh by
+        one ``label_rows`` call on the payload matrix.
 
         Raises CapExceeded above ``cap`` structures before allocating.
+        The table holds an equal copy of the space, so a space that caches
+        its table forms no reference cycle and is freed without the
+        garbage collector.
         """
-        structures = tuple(self.enumerate(cap))
-        psi = np.empty((len(structures), self.feature_dim))
-        for row, y in zip(psi, structures):
-            row[:] = self.output_features(y)
-        psi /= self.max_feature_norm()
-        psi.setflags(write=False)
-        return LabelTable(structures, psi)
+        payloads = self.enumerate_payloads(cap)
+        features = self.label_rows(payloads)
+        payloads.setflags(write=False)
+        features.setflags(write=False)
+        return LabelTable(dataclasses.replace(self), payloads, features)
 
     @cached_property
     def label_table(self) -> Optional[LabelTable]:
@@ -339,6 +365,15 @@ class Hypercube(OutputSpace):
             Structure(self.kind, bits)
             for bits in itertools.product((0, 1), repeat=self.d)
         )
+
+    def enumerate_payloads(self, cap: int = ENUMERATION_CAP):
+        # row k holds the bits of k, most significant first
+        self._check_cap(cap)
+        rows = np.arange(self.count())
+        payloads = np.empty((len(rows), self.d), dtype=np.int8)
+        for j in range(self.d):
+            payloads[:, j] = (rows >> (self.d - 1 - j)) & 1
+        return payloads
 
     def contains(self, y):
         self._check_kind(y)
@@ -392,6 +427,12 @@ class Permutations(OutputSpace):
             Structure(self.kind, perm)
             for perm in itertools.permutations(range(self.d))
         )
+
+    def enumerate_payloads(self, cap: int = ENUMERATION_CAP):
+        self._check_cap(cap)
+        row = np.dtype((np.min_scalar_type(-self.d), (self.d,)))
+        return np.fromiter(itertools.permutations(range(self.d)), dtype=row,
+                           count=self.count())
 
     def contains(self, y):
         self._check_kind(y)
@@ -482,6 +523,22 @@ class Subtrees(OutputSpace):
         payloads.sort()
         return (Structure(self.kind, p) for p in payloads)
 
+    def enumerate_payloads(self, cap: int = ENUMERATION_CAP):
+        # children before parents: the subtrees at v are v alone times, for
+        # each child, its branch absent or one of the child's own subtrees
+        self._check_cap(cap)
+        d = self.tree.vertex_count
+        below: dict[int, np.ndarray] = {}
+        for v in self.tree.postorder:
+            rows = np.zeros((1, d), dtype=np.int8)
+            rows[0, v] = 1
+            for c in self.tree.children[v]:
+                branch = np.concatenate([np.zeros((1, d), dtype=np.int8), below.pop(c)])
+                rows = (rows[:, None, :] | branch[None, :, :]).reshape(-1, d)
+            below[v] = rows
+        rows = below[0]
+        return rows[np.lexsort(rows.T[::-1])]
+
     def contains(self, y):
         self._check_kind(y)
         d = self.tree.vertex_count
@@ -566,14 +623,9 @@ class CyclicPermutations(OutputSpace):
         ]
 
     def label_rows(self, payloads):
-        # edge (order[j], order[j+1]) at each position j of a row, the last
-        # vertex closing the cycle to order[0]; padding positions repeat the
-        # row's first edge, whose cell is set anyway
-        order = payloads.astype(np.intp)
-        after = np.roll(order, -1, axis=1)
-        after = np.where(after < 0, order[:, :1], after)
-        cells = _pair_index(np.minimum(order, after), np.maximum(order, after), self.n)
-        cells = np.where(order < 0, cells[:, :1], cells)
+        # padding positions repeat the row's first edge, whose cell is set anyway
+        cells = _edge_cells(payloads, self.n)
+        cells = np.where(payloads < 0, cells[:, :1], cells)
         psi = np.zeros((len(payloads), self.feature_dim))
         cells += np.arange(0, psi.size, self.feature_dim)[:, None]
         psi.reshape(-1)[cells] = 1.0 / self.max_feature_norm()
@@ -591,6 +643,29 @@ class CyclicPermutations(OutputSpace):
                     payloads.append(_cycle_edges((anchor,) + perm))
         payloads.sort()
         return (Structure(self.kind, p) for p in payloads)
+
+    def enumerate_payloads(self, cap: int = ENUMERATION_CAP):
+        # each cycle once, in vertex order from its smallest vertex towards
+        # the smaller of that vertex's two neighbours
+        self._check_cap(cap)
+        n = self.n
+        vertex = np.min_scalar_type(-n)
+        blocks = []
+        for k in range(3, n + 1):
+            subsets = np.fromiter(itertools.combinations(range(n), k),
+                                  dtype=np.dtype((vertex, (k,))), count=comb(n, k))
+            # visiting orders of a sorted k-subset, as positions in it
+            turns = [(0,) + p for p in itertools.permutations(range(1, k)) if p[0] < p[-1]]
+            rows = np.full((len(subsets), len(turns), n), -1, dtype=vertex)
+            rows[:, :, :k] = subsets[:, turns]
+            blocks.append(rows.reshape(-1, n))
+        payloads = np.concatenate(blocks)
+        # sorted as ``enumerate`` sorts edge lists: a pair index is the rank
+        # of its edge, and -1 after a row's last edge ends it first
+        cells = np.where(payloads < 0, self.feature_dim, _edge_cells(payloads, n))
+        cells.sort(axis=1)
+        cells[cells == self.feature_dim] = -1
+        return payloads[np.lexsort(cells.T[::-1])]
 
     def contains(self, y):
         self._check_kind(y)
@@ -641,6 +716,16 @@ class CyclicPermutations(OutputSpace):
 
     def to_descriptor(self):
         return {"kind": self.kind, "n": self.n}
+
+
+def _edge_cells(payloads: np.ndarray, n: int) -> np.ndarray:
+    """Pair index of the edge (order[j], order[j+1]) at each position j of
+    each vertex-order row, the last vertex closing the cycle to order[0];
+    entries at padding positions are meaningless."""
+    order = payloads.astype(np.intp)
+    after = np.roll(order, -1, axis=1)
+    after = np.where(after < 0, order[:, :1], after)
+    return _pair_index(np.minimum(order, after), np.maximum(order, after), n)
 
 
 def _cycle_edges(order: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -18,9 +18,10 @@ space's label matrix (cached up to TABLE_CAP structures, enumerated once per
 layout above), the scores of every (input, structure) pair are
 X Theta Psi^T, each ln Z is a row-wise log-sum-exp, and the expectation term
 is X^T diag(counts) P Psi.  The theta-free layout (X, the counts, Psi and the
-observed term sum_i x_i/||x_i|| (x) psi(y_i)) is built once per train call,
-and each iteration makes one pass, shared by its gradient and its recorded
-objective.  Unique inputs go through in blocks whose score matrix holds at
+observed term sum_i x_i/||x_i|| (x) psi(y_i)) is built once per train call
+in both gradient modes, and each exact iteration makes one pass, shared by
+its gradient and its recorded objective; an mcmc iteration reads the unique
+inputs and the observed term from the same layout.  Unique inputs go through in blocks whose score matrix holds at
 most _BLOCK_ENTRIES entries, so memory beyond Psi itself stays bounded.
 
 Prediction returns the best of a number of exact uniform proposals, scored
@@ -40,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, WrongSpace, ZeroInput
-from .model import (
+from .model import (  # joint_features is unused; the benchmark tracer patches it
     Dataset,
     Instance,
     Params,
@@ -117,12 +118,6 @@ class TrainTrace:
                 )
 
 
-def _instance_features(data: Dataset, space: OutputSpace) -> np.ndarray:
-    return np.stack(
-        [joint_features(inst.x, inst.y, space) for inst in data.instances]
-    )
-
-
 def _unique_inputs(data: Dataset):
     """(inputs, counts, group of each instance): instances grouped by input
     vector, so that expectations are shared per group."""
@@ -135,33 +130,46 @@ def _unique_inputs(data: Dataset):
 
 @dataclass
 class _ExactData:
-    """A dataset laid out against a space's label matrix for the exact pass:
-    everything the pass needs that does not depend on theta."""
+    """A dataset laid out for training: everything the exact pass and the
+    mcmc gradient need that does not depend on theta."""
 
+    inputs: list  # unique inputs as given
     xs: np.ndarray  # unique inputs scaled to unit norm, u x |x|
     counts: np.ndarray  # instances per unique input
     observed: np.ndarray  # sum_i x_i/||x_i|| (x) psi_n(y_i), |x| x d_Y
-    features: np.ndarray  # the label matrix Psi_n, |Y| x d_Y
+    features: Optional[np.ndarray]  # the label matrix Psi_n, |Y| x d_Y, if enumerated
     m: int  # instances
     memo: tuple = (None, None)  # (theta bytes, lam), (value, gradient) of the last pass
 
 
-def _exact_data(data: Dataset, space: OutputSpace) -> _ExactData:
-    labels = space.label_table
-    if labels is None:
-        labels = space.labels()
-    label_rows = [labels.index.get(inst.y) for inst in data.instances]
-    if None in label_rows:
-        y = data.instances[label_rows.index(None)].y
-        raise WrongSpace(f"label {y} is not a structure of the space")
-    inputs, counts, groups = _unique_inputs(data)
+def _exact_data(data: Dataset, space: OutputSpace, unique=None,
+                enumerated: bool = True) -> _ExactData:
+    """The layout of ``data``; ``unique`` is its ``_unique_inputs`` when
+    already computed.  Without ``enumerated`` the space's label matrix is not
+    built, and each label's row comes from its own feature vector, as the
+    mcmc gradient needs on spaces above the enumeration cap."""
+    if enumerated:
+        labels = space.label_table
+        if labels is None:
+            labels = space.labels()
+        label_rows = [labels.index.get(inst.y) for inst in data.instances]
+        if None in label_rows:
+            y = data.instances[label_rows.index(None)].y
+            raise WrongSpace(f"label {y} is not a structure of the space")
+        features = labels.features
+        psi = features[label_rows]
+    else:
+        features = None
+        psi = np.stack([space.output_features(inst.y) for inst in data.instances])
+        psi /= space.max_feature_norm()
+    inputs, counts, groups = _unique_inputs(data) if unique is None else unique
     xs = np.stack([x.reshape(-1) for x in inputs])
     norms = np.linalg.norm(xs, axis=1)
     if not norms.all():
         raise ZeroInput("input feature vector has zero norm")
     xs /= norms[:, None]
-    observed = xs[groups].T @ labels.features[label_rows]
-    return _ExactData(xs, counts, observed, labels.features, data.m)
+    observed = xs[groups].T @ psi
+    return _ExactData(inputs, xs, counts, observed, features, data.m)
 
 
 def _exact_blocks(theta: np.ndarray, ed: _ExactData):
@@ -231,22 +239,21 @@ def gradient(
 ) -> np.ndarray:
     """2*lam*theta + (1/m) * sum_i (E_{pi}[phi] - phi(x_i, y_i)).
 
-    In exact mode, ``layout`` is as for ``objective``; mcmc mode ignores it.
+    ``layout`` is as for ``objective``.  mcmc mode reads only its unique
+    inputs, counts and observed term, and builds it without enumerating.
     """
     theta = np.asarray(theta, dtype=float)
+    if layout is None:
+        layout = _exact_data(data, space, None, mode == EXACT_ORACLE)
     if mode == EXACT_ORACLE:
-        if layout is None:
-            layout = _exact_data(data, space)
         return _exact_pass(theta, layout, lam)[1]
     params = Params(theta, lam=lam)
     S = hoeffding_sample_size(1.0, 1.0, mcmc_epsilon, mcmc_delta)
     expectation = np.zeros_like(theta)
-    inputs, counts, _ = _unique_inputs(data)
-    for x, count in zip(inputs, counts):
+    for x, count in zip(layout.inputs, layout.counts):
         target = GibbsTarget(space, params, beta=1.0, x=x)
         expectation += count * estimate_gradient(target, S, EXACT, rng).d
-    phis = _instance_features(data, space)
-    return 2.0 * lam * theta + (expectation - phis.sum(axis=0)) / data.m
+    return 2.0 * lam * theta + (expectation - layout.observed.reshape(-1)) / layout.m
 
 
 def train(
@@ -264,23 +271,24 @@ def train(
     the returned theta is the last trace row's.  A failed gradient estimate
     propagates at once.  The exact objective is recorded on every space of
     at most ENUMERATION_CAP structures, and as nan above it.  The dataset's
-    layout against the label matrix is built once, and each iteration's
-    exact gradient and recorded objective share one pass.  Iterations
+    layout is built once in either mode, against the label matrix where
+    one is needed, and each iteration's exact gradient and recorded
+    objective share one pass.  Iterations
     whose total work exceeds MAX_EXPECTED_PROPOSALS are refused before the
     first, as EpochBudgetExhausted naming the estimate.
     """
     if config.gradient_mode == MCMC:
         require_rng(rng, "train in mcmc mode")
-    dim = joint_features(data.instances[0].x, data.instances[0].y, space).size
-    theta = np.zeros(dim)
+    unique = _unique_inputs(data)
     radius = norm_budget_from_space(config.lam, space)
-    _check_train_work(data, space, config, radius)
+    _check_train_work(len(unique[0]), space, config, radius)
     step0 = config.step_size
     if step0 is None:
         step0 = 1.0 / (2.0 * config.lam + 1.0)
     record_objective = space.count() <= ENUMERATION_CAP
     exact = config.gradient_mode == EXACT_ORACLE
-    layout = _exact_data(data, space) if exact or record_objective else None
+    layout = _exact_data(data, space, unique, exact or record_objective)
+    theta = np.zeros(layout.observed.size)
     grad_args = (data, space, config.lam, config.gradient_mode,
                  config.mcmc_epsilon, config.mcmc_delta, rng, layout)
     trace = TrainTrace()
@@ -303,15 +311,15 @@ def train(
     return params, trace
 
 
-def _check_train_work(data, space, config, radius) -> None:
+def _check_train_work(u, space, config, radius) -> None:
     """Refuse, before the first iteration, max_iters iterations whose work
     exceeds MAX_EXPECTED_PROPOSALS: u*|Y| scores for an exact pass over u
     unique inputs, and u*S certificate runs for an mcmc estimate.  A run
     expects at most exp(2*B) proposals, with B the projection radius
     sqrt(ln|Y|/lam), and at most |Y| on a tabled space: there the score
     ceiling is the top score, so a round certifies whenever it proposes the
-    top structure, with probability at least 1/|Y|."""
-    u = len(_unique_inputs(data)[0])
+    top structure, with probability at least 1/|Y|.  ``u`` counts the
+    dataset's unique inputs."""
     what = f"{config.max_iters} training iterations over {u} unique inputs"
     if config.gradient_mode == MCMC:
         S = hoeffding_sample_size(1.0, 1.0, config.mcmc_epsilon, config.mcmc_delta)

@@ -339,7 +339,7 @@ def test_argmax_state_is_sticky_at_high_beta():
     space = Hypercube(4)
     target = unit_target(space, seed=80, beta=1.0)
     best = exact_argmax(target)
-    start = target.table.structures.index(best)
+    start = target.table.labels.structures.index(best)
     stays = sum(y == best for y in one_step(target.at_beta(8.0), start, 500, seed=81))
     assert stays >= 400
 

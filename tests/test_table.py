@@ -6,6 +6,8 @@ exact path is also run on an untabled copy of the space (``TABLE_CAP``
 patched to 0), where the label matrix is built afresh for every call.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -30,6 +32,7 @@ from structprob import (
     exact_gradient,
     exact_partition,
     gradient,
+    hoeffding_sample_size,
     joint_features,
     objective,
     oracle_ratio_moments,
@@ -37,8 +40,10 @@ from structprob import (
     random_unit_theta,
     train,
 )
+from structprob.cli import main
 from structprob.partition import EXACT
 from structprob.samplers import GibbsTarget
+from structprob.spaces import Structure
 
 SPACES = [
     Hypercube(4),
@@ -47,6 +52,20 @@ SPACES = [
     CyclicPermutations(5),
 ]
 X_DIM = 3
+
+# Every space the benchmark defines, then the smallest of each kind and two
+# extreme tree shapes: a path and a star.
+TABLE_SPACES = [
+    Hypercube(12), Permutations(6), CyclicPermutations(7),
+    Subtrees(RootedTree((0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3))),
+    Hypercube(13), Permutations(7), CyclicPermutations(8),
+    Subtrees(RootedTree((0,) * 12 + (1, 1))),
+    Hypercube(5), Hypercube(6), Permutations(4), CyclicPermutations(5),
+    Subtrees(RootedTree((0, 0, 0, 1, 1, 2, 2))),
+    Hypercube(1), Permutations(1), CyclicPermutations(3),
+    Subtrees(RootedTree((0, 0, 1, 2, 3, 4, 5, 6))),
+    Subtrees(RootedTree((0,) * 9)),
+]
 
 
 def reference_objective_and_gradient(theta, data, space, lam):
@@ -207,13 +226,13 @@ def test_target_table_scores_and_expectation_match_joint_features():
 
 def test_space_is_enumerated_once_across_targets(monkeypatch):
     calls = {"n": 0}
-    real = Hypercube.enumerate
+    real = Hypercube.enumerate_payloads
 
     def counting(self, *args, **kwargs):
         calls["n"] += 1
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(Hypercube, "enumerate", counting)
+    monkeypatch.setattr(Hypercube, "enumerate_payloads", counting)
     space = Hypercube(5)
     rng = np.random.default_rng(305)
     features = space.label_table.features
@@ -222,12 +241,12 @@ def test_space_is_enumerated_once_across_targets(monkeypatch):
         dim = space.feature_dim * (1 if x is None else 2)
         theta = random_unit_theta(dim, rng, norm=0.5 + 0.2 * k)
         target = GibbsTarget(space, Params(theta), beta=0.25 * k, x=x)
-        assert target.table.features is features
+        assert target.table.labels.features is features
         exact_partition(target)
         exact_gradient(target)
         estimate_gradient(target.at_beta(1.0), 50, EXACT, rng)
         if x is not None:
-            data = Dataset((Instance(x, target.table.structures[k]),))
+            data = Dataset((Instance(x, target.table.labels.structures[k]),))
             objective(theta, data, space, 1.0)
             gradient(theta, data, space, 1.0)
     assert calls["n"] == 1
@@ -256,3 +275,87 @@ def test_zero_norm_input_still_raises():
         objective(theta, data, space, 1.0)
     with pytest.raises(ZeroInput):
         gradient(theta, data, space, 1.0)
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES,
+                         ids=lambda s: f"{s.kind}-{s.count()}")
+def test_label_table_matches_the_per_structure_build(space):
+    # one label_rows call on the payload matrix against enumerate() plus
+    # one output_features call per structure: equal row for row, in order
+    structures = tuple(space.enumerate())
+    psi = np.stack([space.output_features(y) for y in structures])
+    psi /= space.max_feature_norm()
+    table = space.labels()
+    assert table.payloads.shape[0] == len(structures) == space.count()
+    assert np.array_equal(table.features, psi)
+    assert table.structures == structures
+    assert table.index == {y: k for k, y in enumerate(structures)}
+    with pytest.raises(ValueError):
+        table.payloads[0, 0] = 0
+
+
+def test_tabled_partition_builds_no_structure(monkeypatch, tmp_path):
+    built = {"n": 0}
+    init = Structure.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["n"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Structure, "__init__", counting_init)
+    monkeypatch.chdir(tmp_path)
+    common = ["--space", "permutations:5", "--theta-random", "1.5", "--seed", "3",
+              "--eps", "0.5"]
+    for mode in ("exact", "approximate"):
+        assert main(["partition", "--mode", mode, "--out", f"{mode}.json"] + common) == 0
+        assert built["n"] == 0, mode
+    # the count sees structures that are built: a sample returns 7
+    assert main(["sample", "--space", "permutations:5", "--theta-random", "1.5",
+                 "--seed", "3", "--n", "7", "--out", "sample.json"]) == 0
+    assert built["n"] == 7
+
+
+def test_mcmc_train_builds_its_layout_once(monkeypatch):
+    space = Permutations(4)
+    rng = np.random.default_rng(308)
+    xs = rng.normal(size=(4, X_DIM))
+    structures = list(space.enumerate())
+    data = Dataset(tuple(Instance(xs[k % 4], structures[int(y)])
+                         for k, y in enumerate(rng.integers(0, 24, 20))))
+    calls = {"unique": 0, "joint": 0}
+    gradients = []  # (theta, stream before the call, gradient) per iteration
+    unique, grad = training_mod._unique_inputs, training_mod.gradient
+
+    def counted_unique(*args):
+        calls["unique"] += 1
+        return unique(*args)
+
+    def counted_joint(*args):
+        calls["joint"] += 1
+        return joint_features(*args)
+
+    def recorded_gradient(theta, *args):
+        stream = copy.deepcopy(args[6])
+        g = grad(theta, *args)
+        gradients.append((theta, stream, g))
+        return g
+
+    monkeypatch.setattr(training_mod, "_unique_inputs", counted_unique)
+    monkeypatch.setattr(training_mod, "joint_features", counted_joint)
+    monkeypatch.setattr(training_mod, "gradient", recorded_gradient)
+    config = TrainConfig(lam=0.5, max_iters=5, gradient_mode="mcmc", tolerance=0.0,
+                         mcmc_epsilon=0.3, mcmc_delta=0.3)
+    train(data, space, config, rng=np.random.default_rng(309))
+    assert len(gradients) == 5
+    assert calls == {"unique": 1, "joint": 0}
+    # against the per-iteration sum of per-instance joint features it replaced
+    S = hoeffding_sample_size(1.0, 1.0, config.mcmc_epsilon, config.mcmc_delta)
+    phis = np.stack([joint_features(inst.x, inst.y, space) for inst in data.instances])
+    counts = np.bincount([k % 4 for k in range(20)])
+    for theta, stream, g in gradients:
+        params = Params(theta, lam=config.lam)
+        expectation = sum(
+            count * estimate_gradient(GibbsTarget(space, params, x=x), S, EXACT, stream).d
+            for x, count in zip(xs, counts))
+        want = 2.0 * config.lam * theta + (expectation - phis.sum(axis=0)) / data.m
+        np.testing.assert_allclose(g, want, rtol=1e-12)

@@ -6,7 +6,9 @@ End to end, it runs ``bench/run.py --trace 0`` for the ``run_seconds`` of
 
 Per layer, it measures ``GibbsTarget.propose`` proposals/s on each space of
 the ``fpras-untabled`` workload and on its tabled sibling from
-``fpras-tabled``.  The batch sizes are the workload's own: one cycle of
+``fpras-tabled``, and the milliseconds of one label-table build
+(``space.labels()`` on a fresh instance) on each tabled space of the
+``fpras-tabled`` and ``train-predict`` workloads.  The batch sizes are the workload's own: one cycle of
 ``fpras-untabled`` at seed MIX_SEED runs in this checkout with every
 ``propose`` call's size recorded, and each rate replays that sequence of
 sizes (the untabled space's sequence on its tabled sibling too).  Spaces
@@ -44,6 +46,12 @@ MIX_SEED = 1
 # Each propose rate replays the recorded sizes whole, repeating them until at
 # least this many seconds have passed.
 PROPOSE_WINDOW_S = 1.0
+# Each label-table time is the median of the builds of this many seconds.
+LABELS_WINDOW_S = 0.3
+# The tabled spaces of fpras-tabled and train-predict.
+LABEL_SPECS = ("hypercube:12", "permutations:6", "cycles:7", "subtrees:tabled",
+               "hypercube:5", "hypercube:6", "permutations:4", "cycles:5",
+               "subtrees:train")
 
 # Run in a fresh interpreter in one checkout, with its src/ and bench/ on the
 # path: one fpras-untabled cycle through structprob.cli.main, recording the
@@ -100,6 +108,21 @@ while not done or time.perf_counter() - start < window:
     done += sum(sizes)
 print(json.dumps({"tabled": target.table is not None,
                   "rate": done / (time.perf_counter() - start)}))
+"""
+
+# Run in a fresh interpreter in one checkout: milliseconds of one
+# space.labels() on a fresh instance, the median over a window.
+_LABELS_PROBE = """
+import json, statistics, sys, time
+import workloads
+spec, window = sys.argv[1], float(sys.argv[2])
+times, start = [], time.perf_counter()
+while len(times) < 3 or time.perf_counter() - start < window:
+    space = workloads.build_space(spec)
+    t = time.perf_counter()
+    space.labels()
+    times.append(time.perf_counter() - t)
+print(json.dumps({"ms": 1e3 * statistics.median(times)}))
 """
 
 
@@ -193,11 +216,23 @@ def main(argv=None) -> int:
             f"{n} {_spread(rates[n][spec])['median']:.3g}/s" for n, _ in sides),
             file=sys.stderr)
 
+    label_ms = {name: {spec: [] for spec in LABEL_SPECS} for name, _ in sides}
+    for spec in LABEL_SPECS:
+        for i, _ in enumerate(seeds):
+            for name, repo in _alternating(sides, i):
+                probe = _probe(repo, _LABELS_PROBE, spec, str(LABELS_WINDOW_S))
+                label_ms[name][spec].append(probe["ms"])
+        print(f"labels {spec}: " + ", ".join(
+            f"{n} {_spread(label_ms[n][spec])['median']:.3g} ms" for n, _ in sides),
+            file=sys.stderr)
+
     report = {
         "command": f"bench/run.py --trace 0 --seconds {seconds:g}, seeds {seeds}; "
                    f"GibbsTarget.propose replaying the batch sizes of one "
                    f"fpras-untabled cycle at seed {MIX_SEED}, "
-                   f"{REPEATS} windows of at least {PROPOSE_WINDOW_S:g} s",
+                   f"{REPEATS} windows of at least {PROPOSE_WINDOW_S:g} s; "
+                   f"space.labels() on fresh instances, {REPEATS} medians over "
+                   f"windows of at least {LABELS_WINDOW_S:g} s",
         "environment": {
             "python": platform.python_version(),
             "numpy": version("numpy"),
@@ -221,7 +256,11 @@ def main(argv=None) -> int:
                     "propose_per_s": {
                         spec: {"tabled": tabled[spec], **_spread(rates[name][spec]),
                                "runs": rates[name][spec]}
-                        for spec, _ in cases}},
+                        for spec, _ in cases},
+                    "label_table_ms": {
+                        spec: {**_spread(label_ms[name][spec]),
+                               "runs": label_ms[name][spec]}
+                        for spec in LABEL_SPECS}},
             }
             for name, repo in sides
         },
@@ -237,6 +276,10 @@ def main(argv=None) -> int:
                 spec: change["per_layer"]["propose_per_s"][spec]["median"]
                 / parent["per_layer"]["propose_per_s"][spec]["median"]
                 for spec, _ in cases},
+            "label_table_ms": {
+                spec: change["per_layer"]["label_table_ms"][spec]["median"]
+                / parent["per_layer"]["label_table_ms"][spec]["median"]
+                for spec in LABEL_SPECS},
             "throughput_rps_pairs_won": {
                 w: sum(c["throughput_rps"] > p["throughput_rps"]
                        for c, p in zip(runs["change"][w], runs["parent"][w]))
