@@ -537,7 +537,7 @@ class Subtrees(OutputSpace):
                 rows = (rows[:, None, :] | branch[None, :, :]).reshape(-1, d)
             below[v] = rows
         rows = below[0]
-        return rows[np.lexsort(rows.T[::-1])]
+        return rows[np.lexsort(rows.T[::-1])]  # as tuples sort: column 0 first
 
     def contains(self, y):
         self._check_kind(y)

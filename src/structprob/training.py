@@ -21,8 +21,9 @@ is X^T diag(counts) P Psi.  The theta-free layout (X, the counts, Psi and the
 observed term sum_i x_i/||x_i|| (x) psi(y_i)) is built once per train call
 in both gradient modes, and each exact iteration makes one pass, shared by
 its gradient and its recorded objective; an mcmc iteration reads the unique
-inputs and the observed term from the same layout.  Unique inputs go through in blocks whose score matrix holds at
-most _BLOCK_ENTRIES entries, so memory beyond Psi itself stays bounded.
+inputs and the observed term from the same layout.  Unique inputs go
+through in blocks whose score matrix holds at most _BLOCK_ENTRIES entries,
+so memory beyond Psi itself stays bounded.
 
 Prediction returns the best of a number of exact uniform proposals, scored
 in one batch.  A Metropolis chain over those proposals, annealed or not,
@@ -273,9 +274,9 @@ def train(
     at most ENUMERATION_CAP structures, and as nan above it.  The dataset's
     layout is built once in either mode, against the label matrix where
     one is needed, and each iteration's exact gradient and recorded
-    objective share one pass.  Iterations
-    whose total work exceeds MAX_EXPECTED_PROPOSALS are refused before the
-    first, as EpochBudgetExhausted naming the estimate.
+    objective share one pass.  Iterations whose total work exceeds
+    MAX_EXPECTED_PROPOSALS are refused before the first, as
+    EpochBudgetExhausted naming the estimate.
     """
     if config.gradient_mode == MCMC:
         require_rng(rng, "train in mcmc mode")
