@@ -23,23 +23,26 @@ Each prices all n draws before the first and refuses, as
 EpochBudgetExhausted naming the estimate, work expected to exceed
 MAX_EXPECTED_PROPOSALS.
 
-Coalescence in CFTP is detected through a conservative certificate: with
-shared per-step randomness (z_t, u_t), the event
+Coalescence in CFTP is detected through a conservative certificate.  Each
+step's shared randomness is a proposal z_t and one bid
 
-    u_t <= exp(beta * (score(z_t) - s_max))
+    a_t = beta * score(z_t) + E_t,   E_t ~ Exp(1)  (E_t is -ln u_t),
 
-forces every chain, whatever its current state, to accept z_t, so all chains
-are provably in the same state from that step on.  The certificate can only
-delay detection, never fake it, so exactness is preserved; it fires with
+and a chain in state y moves to z_t when a_t >= beta * score(y): that is
+the Metropolis rule.  The event a_t >= beta * s_max forces every chain,
+whatever its current state, to accept z_t, so all chains are provably in
+the same state from that step on.  The certificate can only delay
+detection, never fake it, so exactness is preserved; it fires with
 probability delta_beta per step, so its expected depth is 1/delta_beta:
 exact (and at most |Y|) on a tabled target, at most exp(2*beta*B*R) on an
 untabled one.  The same delta_beta is the Doeblin constant of the
 approximate sampler's chain, so one number prices all three samplers.
 
 That event is also the rejection sampler's accept.  So both exact samplers
-share one certificate search, CFTP adding a Metropolis replay of the earlier
-steps, and the approximate sampler runs lockstep chains.  All of them draw
-from ``GibbsTarget.propose``.
+cut one i.i.d. pool of proposals into runs that end at their certificates,
+CFTP adding a Metropolis replay of each run's earlier proposals, and the
+approximate sampler runs lockstep chains.  All of them draw from
+``GibbsTarget.propose``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, exp, expm1, floor, inf, isfinite, log, log1p
+from math import ceil, exp, expm1, floor, inf, isfinite, log, log1p, sqrt
 from typing import Optional
 
 import numpy as np
@@ -64,8 +67,9 @@ from .spaces import ENUMERATION_CAP, LabelTable, OutputSpace, Structure
 
 # Sampler work expected to exceed this many proposals (or chain steps) is
 # refused before its first draw: that is about ten seconds of work on a
-# tabled target and minutes on an untabled one, and CFTP keeps every proposal
-# until its replay.  Summed over their ratios, the largest fpras-tabled
+# tabled target and minutes on an untabled one, and a certificate search
+# keeps its whole proposal pool, a few percent past the proposals its runs
+# use, until the replay.  Summed over their ratios, the largest fpras-tabled
 # benchmark requests expect about 4.8e5 certificate proposals (exact mode)
 # and 3.8e5 chain proposals (approximate mode).
 MAX_EXPECTED_PROPOSALS = 10**7
@@ -344,54 +348,59 @@ def _check_expected_proposals(target: GibbsTarget, n: int) -> None:
 
 
 def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator):
-    """First certificates of n runs, with each run's earlier rounds.
+    """First certificates of n runs, cut from one pool of uniform proposals.
 
-    Round r proposes once for every run still open and draws its log u; a
-    run ends at its first hit, log u <= beta*s(z) - beta*s_max, and its depth
-    is that round's number: geometric with mean 1/delta_beta, exactly so on
-    a tabled target.  Returns (keys, scores, depths, history): the
-    hit proposals, and each round as (open runs, keys, scores, log u, hit).
-    Raises EpochBudgetExhausted before any draw when the expected number of
-    proposals exceeds MAX_EXPECTED_PROPOSALS.  Below that limit each open
-    run ends in each round with probability at least n/MAX_EXPECTED_PROPOSALS,
-    so the loop needs no horizon of its own.
+    Each proposal z bids a = beta*s(z) + E with E ~ Exp(1) (E is -ln u) and
+    certifies when a >= beta*s_max.  The pool is one i.i.d. stream, so run j
+    is the segment that ends at its j-th hit, and its depth is the gap
+    between hits: geometric with mean 1/delta_beta, exactly so on a tabled
+    target.  The pool grows in a few ``propose`` chunks, each sized from the
+    hit rate realized so far; a chunk after no hit at most doubles the pool.
+    Returns (keys, scores, depths, pool): the hit proposals in hit order, and
+    the pool as (keys, scores, bids, hit positions).  Raises
+    EpochBudgetExhausted before any draw when the expected number of
+    proposals exceeds MAX_EXPECTED_PROPOSALS.
     """
     _check_expected_proposals(target, n)
     beta = target.beta
     bound = beta * target.score_ceiling
-    runs = np.arange(n)
-    history = []
-    while True:  # round 1 always runs: it covers every run, even for n = 0
-        z, s_z = target.propose(rng, runs.size)
-        log_u = np.log(rng.random(runs.size))
-        hit = log_u <= beta * s_z - bound
-        history.append((runs, z, s_z, log_u, hit))
-        runs = runs[~hit]
-        if not runs.size:
+    chunks, drawn, hits, size = [], 0, 0, n
+    while True:  # the first chunk always runs, even for n = 0
+        z, s_z = target.propose(rng, size)
+        bids = beta * s_z + rng.standard_exponential(size)
+        chunks.append((z, s_z, bids))
+        drawn += size
+        hits += int(np.count_nonzero(bids >= bound))
+        if hits >= n:
             break
-    keys, scores = history[0][1].copy(), history[0][2].copy()
-    depths = np.empty(n, dtype=np.int64)
-    for depth, (runs, z, s_z, _, hit) in enumerate(history, start=1):
-        ended = runs[hit]
-        keys[ended], scores[ended], depths[ended] = z[hit], s_z[hit], depth
-    return keys, scores, depths, history
+        # the need plus two standard deviations, at a high estimate of the rate
+        need, rate = n - hits, (hits + 2.0 * sqrt(hits) + 2.0) / drawn
+        size = ceil((need + 2.0 * sqrt(need)) / rate) if hits else drawn
+    z, s_z, bids = (np.concatenate(part) for part in zip(*chunks))
+    hit = np.flatnonzero(bids >= bound)[:n]
+    return z[hit], s_z[hit], np.diff(hit, prepend=-1), (z, s_z, bids, hit)
 
 
 def _cftp_batch_indices(target, n, rng):
-    """n CFTP runs as (keys, certificate depths, scores).
+    """n CFTP runs as (keys, certificate depths, scores), in hit order.
 
-    Each run starts from its first certificate and replays the Metropolis
-    rule through its earlier rounds, latest first, which is forward in time.
+    Run j starts from its certificate at pool position hit_j and replays the
+    Metropolis rule forward through its earlier proposals, step k over
+    position hit_j - k: it moves to z when z's bid reaches beta*s(state).
+    With the runs sorted by depth once, those still open at step k are a
+    prefix.  States are pool positions; keys and scores are gathered once.
     """
-    keys, scores, depths, history = _certificate_rounds(target, n, rng)
-    beta = target.beta
-    for runs, z, s_z, log_u, hit in reversed(history):
-        live = ~hit
-        runs, z, s_z = runs[live], z[live], s_z[live]
-        move = log_u[live] <= beta * s_z - beta * scores[runs]
-        moved = runs[move]
-        keys[moved], scores[moved] = z[move], s_z[move]
-    return keys, depths, scores
+    _, _, depths, (z, s_z, bids, hit) = _certificate_rounds(target, n, rng)
+    order = np.argsort(-depths)  # deepest first
+    ends = hit[order]
+    state = ends.copy()
+    level = target.beta * s_z
+    steps = np.arange(1, depths.max(initial=1))
+    for k, m in zip(steps, np.searchsorted(-depths[order], -steps)):
+        step = ends[:m] - k
+        np.copyto(state[:m], step, where=bids[step] >= level[state[:m]])
+    state[order] = state.copy()
+    return z[state], depths, s_z[state]
 
 
 def sample_exact_cftp(

@@ -21,7 +21,8 @@ is X^T diag(counts) P Psi.  The theta-free layout (X, the counts, Psi and the
 observed term sum_i x_i/||x_i|| (x) psi(y_i)) is built once per train call
 in both gradient modes, and each exact iteration makes one pass, shared by
 its gradient and its recorded objective; an mcmc iteration reads the unique
-inputs and the observed term from the same layout.  Unique inputs go
+inputs and the observed term from the same layout, and records its
+objective from a pass that forms no expectation term.  Unique inputs go
 through in blocks whose score matrix holds at most _BLOCK_ENTRIES entries,
 so memory beyond Psi itself stays bounded.
 
@@ -190,22 +191,25 @@ def _exact_blocks(theta: np.ndarray, ed: _ExactData):
         yield block, scores, top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
 
 
-def _exact_pass(theta: np.ndarray, ed: _ExactData, lam: float):
-    """(objective, gradient) at theta from one pass over the blocks.  The
-    last result stays on the layout, so asking again at the same theta and
-    lam costs no pass."""
+def _exact_pass(theta: np.ndarray, ed: _ExactData, lam: float, with_gradient: bool = True):
+    """(objective, gradient) at theta from one pass over the blocks; without
+    ``with_gradient`` the pass forms only the objective, and the gradient is
+    None.  The last result stays on the layout, so asking again at the same
+    theta and lam costs no pass."""
     key = (theta.tobytes(), lam)
-    if ed.memo[0] != key:
-        loss = 0.0
+    if ed.memo[0] != key or (with_gradient and ed.memo[1][1] is None):
+        loss, grad = 0.0, None
         expected = np.zeros((ed.xs.shape[1], len(ed.features)))
         for b, scores, ln_z in _exact_blocks(theta, ed):
             loss += float(ed.counts[b] @ ln_z)
-            probs = np.exp(scores - ln_z[:, None])
-            expected += ed.xs[b].T @ (ed.counts[b, None] * probs)
+            if with_gradient:
+                probs = np.exp(scores - ln_z[:, None])
+                expected += ed.xs[b].T @ (ed.counts[b, None] * probs)
         loss -= float(ed.observed.reshape(-1) @ theta)
-        terms = (expected @ ed.features - ed.observed).reshape(-1)
-        ed.memo = key, (lam * float(theta @ theta) + loss / ed.m,
-                        2.0 * lam * theta + terms / ed.m)
+        if with_gradient:
+            terms = (expected @ ed.features - ed.observed).reshape(-1)
+            grad = 2.0 * lam * theta + terms / ed.m
+        ed.memo = key, (lam * float(theta @ theta) + loss / ed.m, grad)
     return ed.memo[1]
 
 
@@ -224,7 +228,7 @@ def objective(
     theta = np.asarray(theta, dtype=float)
     if layout is None:
         layout = _exact_data(data, space)
-    return _exact_pass(theta, layout, lam)[0]
+    return _exact_pass(theta, layout, lam, with_gradient=False)[0]
 
 
 def gradient(
@@ -274,7 +278,8 @@ def train(
     at most ENUMERATION_CAP structures, and as nan above it.  The dataset's
     layout is built once in either mode, against the label matrix where
     one is needed, and each iteration's exact gradient and recorded
-    objective share one pass.  Iterations whose total work exceeds
+    objective share one pass (in mcmc mode the pass forms the objective
+    only).  Iterations whose total work exceeds
     MAX_EXPECTED_PROPOSALS are refused before the first, as
     EpochBudgetExhausted naming the estimate.
     """

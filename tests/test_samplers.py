@@ -29,6 +29,7 @@ from structprob.samplers import (
     MAX_EXPECTED_PROPOSALS,
     GibbsTarget,
     _approx_batch_indices,
+    _certificate_rounds,
     _cftp_batch_indices,
     expected_proposals,
 )
@@ -588,3 +589,181 @@ def test_tabled_requests_over_the_limit_are_still_refused():
                            match=r"beta\*s_max = [\d.]+ expects about 5\.3e\+07 proposals"):
             sampler(target, n, rng)
     assert rng.bit_generator.state == state  # refused before any draw
+
+
+# ------------------------------------------ one proposal pool per search
+
+POOL_BETAS = (0.4, 1.0, 2.5)
+
+
+def pool_target(beta):
+    """Permutations(3) at a fixed theta: delta_beta is 0.74, 0.51 and 0.29 at
+    the POOL_BETAS, and the least likely of the 6 states has mass 0.022."""
+    return unit_target(Permutations(3), seed=130, norm=1.5, beta=beta)
+
+
+def exact_probs(target):
+    w = target.beta * target.table.scores
+    return np.exp(w - w.max()) / np.exp(w - w.max()).sum()
+
+
+def draws_and_depths(target, sampler, n, seed):
+    """(table rows, depths) of n exact draws; rejection returns the hits."""
+    rng = np.random.default_rng(seed)
+    if sampler == "cftp":
+        keys, depths, _ = _cftp_batch_indices(target, n, rng)
+    else:
+        keys, _, depths, _ = _certificate_rounds(target, n, rng)
+    return keys, depths
+
+
+def gof_p_value(counts, probs):
+    """Pearson p-value of counts against probs, the cells whose expected
+    count is under 5 pooled into one."""
+    from scipy import stats
+
+    expected = probs * counts.sum()
+    small = expected < 5.0
+    if small.any():
+        counts = np.append(counts[~small], counts[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return stats.chisquare(counts, expected).pvalue
+
+
+def homogeneity_p_value(table):
+    """Pearson p-value that the rows of a contingency table share one law,
+    the columns with a total under 20 pooled into their neighbour."""
+    from scipy import stats
+
+    cols = [table[:, 0]]
+    for col in table[:, 1:].T:
+        if cols[-1].sum() < 20:
+            cols[-1] = cols[-1] + col
+        else:
+            cols.append(col)
+    return stats.chi2_contingency(np.stack(cols, axis=1), correction=False).pvalue
+
+
+@pytest.mark.parametrize("beta", POOL_BETAS)
+@pytest.mark.parametrize("sampler", ["cftp", "rejection"])
+def test_consecutive_draws_follow_the_product_law(sampler, beta):
+    # a proposal shared across a cut would tie draw j to draw j + 1
+    target = pool_target(beta)
+    probs = exact_probs(target)
+    k = len(probs)
+    keys, _ = draws_and_depths(target, sampler, 60_001, seed=131)
+    for offset in (0, 1):  # every cut between draws j and j + 1 is tested once
+        pairs = keys[offset:offset + 60_000].reshape(-1, 2)
+        counts = np.bincount(pairs[:, 0] * k + pairs[:, 1], minlength=k * k)
+        assert gof_p_value(counts, np.outer(probs, probs).reshape(-1)) > 0.01
+
+
+@pytest.mark.parametrize("beta", POOL_BETAS)
+def test_output_position_carries_no_depth_information(beta):
+    # runs sorted by depth would put the deep runs, and the states they
+    # favour, at the front; in hit order every quarter has one law
+    target = pool_target(beta)
+    n = 60_000
+    quarter = np.arange(n) * 4 // n
+    for sampler in ("cftp", "rejection"):
+        keys, depths = draws_and_depths(target, sampler, n, seed=132)
+        for values in (np.minimum(depths, 12) - 1, keys):
+            table = np.zeros((4, values.max() + 1))
+            np.add.at(table, (quarter, values), 1)
+            assert homogeneity_p_value(table) > 0.01
+
+
+@pytest.mark.parametrize("beta", POOL_BETAS)
+def test_depths_are_geometric_in_the_certificate_rate(beta):
+    target = pool_target(beta)
+    delta = exp(-target.log_rounds_per_certificate)
+    _, depths = draws_and_depths(target, "cftp", 60_000, seed=133)
+    top = 30  # depths above it are pooled with it
+    counts = np.bincount(np.minimum(depths, top), minlength=top + 1)[1:]
+    probs = delta * (1.0 - delta) ** np.arange(top)
+    probs[-1] = (1.0 - delta) ** (top - 1)  # P(depth >= top)
+    assert gof_p_value(counts, probs) > 0.01
+
+
+@pytest.mark.parametrize("beta", POOL_BETAS)
+def test_rejection_trials_equal_cftp_depths_at_any_beta(beta):
+    target = pool_target(beta)
+    hits, _ = draws_and_depths(target, "rejection", 5_000, seed=134)
+    _, trials = sample_rejection(target, 5_000, np.random.default_rng(134))
+    _, depths = sample_exact_cftp(target, 5_000, np.random.default_rng(134))
+    assert np.array_equal(trials, depths)
+    assert target.structures(hits) == sample_rejection(
+        target, 5_000, np.random.default_rng(134))[0]
+
+
+def recorded_propose(monkeypatch):
+    """The size of every GibbsTarget.propose call from now on."""
+    sizes = []
+    propose = GibbsTarget.propose
+
+    def recording(self, rng, n):
+        sizes.append(n)
+        return propose(self, rng, n)
+
+    monkeypatch.setattr(GibbsTarget, "propose", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [1, 4, 50])
+def test_a_search_without_hits_grows_by_at_most_doubling(monkeypatch, n):
+    target = unit_target(Hypercube(10), seed=131, norm=1.5, beta=25.0)
+    assert exp(-target.log_rounds_per_certificate) < 0.01
+    sizes = recorded_propose(monkeypatch)
+    _, _, depths, (_, _, bids, hit) = _certificate_rounds(
+        target, n, np.random.default_rng(135))
+    assert len(depths) == n and len(hit) == n
+    hits = np.add.reduceat(bids >= target.beta * target.score_ceiling,
+                           np.cumsum([0] + sizes[:-1]))
+    assert hits[0] == 0  # the first chunk of n proposals found no certificate
+    drawn = 0
+    for size, found in zip(sizes, np.cumsum(hits) - hits):
+        if not found:
+            assert size <= max(drawn, n)
+        drawn += size
+    assert hits.sum() >= n and len(sizes) < 40
+
+
+def test_a_large_search_takes_few_propose_calls(monkeypatch):
+    # the largest fpras-tabled ratio: 15,474 draws at beta 1 on hypercube:12
+    target = unit_target(Hypercube(12), seed=136, norm=3.4)
+    target.table
+    sizes = recorded_propose(monkeypatch)
+    _, depths, _ = _cftp_batch_indices(target, 15_474, np.random.default_rng(137))
+    assert depths.max() >= 20  # one propose call per round would make 20 or more
+    assert len(sizes) <= 6
+
+
+@pytest.mark.parametrize("beta", [0.2, 3.0, 12.0])
+def test_unused_proposals_stay_small(beta):
+    # summed over searches: under 15% of the proposals the runs use, plus
+    # four mean depths per search
+    target = unit_target(Hypercube(6), seed=131, norm=1.5, beta=beta)
+    mean_depth = exp(target.log_rounds_per_certificate)
+    for n in (1, 3, 20, 100, 1000, 15_474):
+        searches = 30 if n < 15_474 else 5
+        used = unused = 0
+        for seed in range(searches):
+            _, _, depths, (z, _, _, _) = _certificate_rounds(
+                target, n, np.random.default_rng((138, seed)))
+            used += depths.sum()
+            unused += len(z) - depths.sum()
+        assert unused <= 0.15 * used + 4 * mean_depth * searches
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_refusal_comes_before_any_proposal(monkeypatch, tabled):
+    target = unit_target(Hypercube(6), seed=97, norm=40.0)
+    if not tabled:
+        target = untabled(target)
+    sizes = recorded_propose(monkeypatch)
+    rng = np.random.default_rng(139)
+    state = rng.bit_generator.state
+    for sampler in (sample_exact_cftp, sample_rejection):
+        with pytest.raises(EpochBudgetExhausted, match="proposals"):
+            sampler(target, 1_000_000, rng)
+    assert sizes == [] and rng.bit_generator.state == state

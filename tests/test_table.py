@@ -315,13 +315,19 @@ def test_tabled_partition_builds_no_structure(monkeypatch, tmp_path):
     assert built["n"] == 7
 
 
-def test_mcmc_train_builds_its_layout_once(monkeypatch):
+def _permutation_data():
+    """20 permutations:4 instances over 4 distinct inputs, and those inputs."""
     space = Permutations(4)
     rng = np.random.default_rng(308)
     xs = rng.normal(size=(4, X_DIM))
     structures = list(space.enumerate())
     data = Dataset(tuple(Instance(xs[k % 4], structures[int(y)])
                          for k, y in enumerate(rng.integers(0, 24, 20))))
+    return space, data, xs
+
+
+def test_mcmc_train_builds_its_layout_once(monkeypatch):
+    space, data, xs = _permutation_data()
     calls = {"unique": 0, "joint": 0}
     gradients = []  # (theta, stream before the call, gradient) per iteration
     unique, grad = training_mod._unique_inputs, training_mod.gradient
@@ -359,3 +365,26 @@ def test_mcmc_train_builds_its_layout_once(monkeypatch):
             for x, count in zip(xs, counts))
         want = 2.0 * config.lam * theta + (expectation - phis.sum(axis=0)) / data.m
         np.testing.assert_allclose(g, want, rtol=1e-12)
+
+
+def test_mcmc_train_records_objectives_without_a_gradient_pass(monkeypatch):
+    space, data, _ = _permutation_data()
+    passes = []  # (theta, (objective, gradient)) of every exact pass
+    exact_pass = training_mod._exact_pass
+
+    def recorded_pass(theta, *args, **kwargs):
+        result = exact_pass(theta, *args, **kwargs)
+        passes.append((theta, result))
+        return result
+
+    monkeypatch.setattr(training_mod, "_exact_pass", recorded_pass)
+    config = TrainConfig(lam=0.5, max_iters=5, gradient_mode="mcmc", tolerance=0.0,
+                         mcmc_epsilon=0.3, mcmc_delta=0.3)
+    _, trace = train(data, space, config, rng=np.random.default_rng(309))
+    assert len(passes) == 5
+    assert all(grad is None for _, (_, grad) in passes)  # no expectation term formed
+    # each recorded objective is bit-identical to the one the shared
+    # objective-and-gradient pass gives at the same theta
+    layout = training_mod._exact_data(data, space)
+    for (theta, _), recorded in zip(passes, trace.objectives()):
+        assert exact_pass(theta, layout, config.lam)[0] == recorded

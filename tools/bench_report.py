@@ -2,7 +2,9 @@
 
 End to end, it runs ``bench/run.py --trace 0`` for the ``run_seconds`` of
 ``BENCHMARK.json`` on every workload there, once per pinned seed
-1..REPEATS, and records each run's metrics with their medians and quartiles.
+1..REPEATS, and records each run's metrics with their medians and quartiles,
+and each run's wall time (``wall_s``: the whole ``bench/run.py`` process,
+input writing and output checks included).
 
 Per layer, it measures ``GibbsTarget.propose`` proposals/s on each space of
 the ``fpras-untabled`` workload and on its tabled sibling from
@@ -11,9 +13,13 @@ the ``fpras-untabled`` workload and on its tabled sibling from
 ``fpras-tabled`` and ``train-predict`` workloads.  The batch sizes are the workload's own: one cycle of
 ``fpras-untabled`` at seed MIX_SEED runs in this checkout with every
 ``propose`` call's size recorded, and each rate replays that sequence of
-sizes (the untabled space's sequence on its tabled sibling too).  Spaces
-are built by ``bench/workloads.py``, so the benchmark stays the one place
-that defines them.
+sizes (the untabled space's sequence on its tabled sibling too).  It also
+measures exact certificate draws/s: ``samplers._cftp_batch_indices`` at
+every beta of one exact request's schedule, with that request's per-ratio
+sample size, on each exact space of ``fpras-tabled`` at norm 3.4 and of
+``fpras-untabled`` at norm 1.15.  Spaces and directions are built by
+``bench/workloads.py``, so the benchmark stays the one place that defines
+them.
 
 With ``--parent DIR`` (another checkout, usually the parent commit) both
 checkouts are measured, alternating which runs first from one seed to the
@@ -33,6 +39,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from importlib.metadata import version
 from pathlib import Path
 
@@ -48,6 +55,11 @@ MIX_SEED = 1
 PROPOSE_WINDOW_S = 1.0
 # Each label-table time is the median of the builds of this many seconds.
 LABELS_WINDOW_S = 0.3
+# Each certificate rate replays one request's schedule until at least this
+# many seconds have passed.
+CERTIFICATE_WINDOW_S = 1.0
+# The norm of the exact requests whose schedules the certificate rates replay.
+CERTIFICATE_NORMS = {"fpras-tabled": 3.4, "fpras-untabled": 1.15}
 # The tabled spaces of fpras-tabled and train-predict.
 LABEL_SPECS = ("hypercube:12", "permutations:6", "cycles:7", "subtrees:tabled",
                "hypercube:5", "hypercube:6", "permutations:4", "cycles:5",
@@ -110,6 +122,48 @@ print(json.dumps({"tabled": target.table is not None,
                   "rate": done / (time.perf_counter() - start)}))
 """
 
+# Run in a fresh interpreter in one checkout: exact draws/s of
+# _cftp_batch_indices over every beta of the schedule of one exact request
+# (space, norm, eps), with the theta direction drawn at seed 0 as the
+# workload draws it, the sampling stream at the given seed, and the score
+# tables built before the window.
+_CERTIFICATE_PROBE = """
+import json, sys, time
+import numpy as np
+import workloads
+from structprob.model import FEATURE_NORM_BOUND, Params
+from structprob.partition import build_schedule, sample_size
+from structprob.samplers import GibbsTarget, _cftp_batch_indices
+spec, norm, eps = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+seed, window = int(sys.argv[4]), float(sys.argv[5])
+space = workloads.build_space(spec)
+theta = workloads._centred_direction(space, np.random.default_rng(0)) * norm
+target = GibbsTarget(space, Params(theta, norm_budget=norm))
+target.table
+schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm)
+S = sample_size(eps, schedule.l, schedule.p)
+targets = [target.at_beta(beta) for beta in schedule.betas[1:]]
+rng = np.random.default_rng(seed)
+_cftp_batch_indices(targets[0], S, rng)
+done, start = 0, time.perf_counter()
+while not done or time.perf_counter() - start < window:
+    for t in targets:
+        _cftp_batch_indices(t, S, rng)
+    done += S * len(targets)
+print(json.dumps({"tabled": target.table is not None, "S": S, "ratios": len(targets),
+                  "rate": done / (time.perf_counter() - start)}))
+"""
+
+# The (space, norm, eps) of the exact requests the certificate rates replay.
+_CERTIFICATE_CASES = """
+import json, sys
+import workloads
+norms = json.loads(sys.argv[1])
+print(json.dumps(sorted({(t.space, t.norm, t.eps) for w, norm in norms.items()
+                         for t in workloads.TEMPLATES[w]
+                         if t.mode == "exact" and t.norm == norm})))
+"""
+
 # Run in a fresh interpreter in one checkout: milliseconds of one
 # space.labels() on a fresh instance, the median over a window.
 _LABELS_PROBE = """
@@ -145,13 +199,15 @@ def _git_state(repo: Path) -> dict:
 
 
 def _bench_run(repo: Path, workload: str, seed: int, seconds: float) -> dict:
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=repo, capture_output=True, text=True, check=True)
+    wall_s = time.perf_counter() - start
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"seed": seed, "attempted": result["attempted"], "failed": result["failed"],
-            **{k: m["value"] for k, m in result["metrics"].items()}}
+            "wall_s": wall_s, **{k: m["value"] for k, m in result["metrics"].items()}}
 
 
 def _probe(repo: Path, code: str, *args: str) -> dict:
@@ -226,13 +282,31 @@ def main(argv=None) -> int:
             f"{n} {_spread(label_ms[n][spec])['median']:.3g} ms" for n, _ in sides),
             file=sys.stderr)
 
+    certificate_cases = [tuple(c) for c in _probe(
+        ROOT, _CERTIFICATE_CASES, json.dumps(CERTIFICATE_NORMS))]
+    draws = {name: {spec: [] for spec, *_ in certificate_cases} for name, _ in sides}
+    certificate_info = {}
+    for spec, norm, eps in certificate_cases:
+        for i, seed in enumerate(seeds):
+            for name, repo in _alternating(sides, i):
+                probe = _probe(repo, _CERTIFICATE_PROBE, spec, repr(norm), repr(eps),
+                               str(seed), str(CERTIFICATE_WINDOW_S))
+                draws[name][spec].append(probe["rate"])
+                certificate_info[spec] = {"norm": norm, "eps": eps, "tabled": probe["tabled"],
+                                          "S": probe["S"], "ratios": probe["ratios"]}
+        print(f"certificate {spec}: " + ", ".join(
+            f"{n} {_spread(draws[n][spec])['median']:.3g}/s" for n, _ in sides),
+            file=sys.stderr)
+
     report = {
         "command": f"bench/run.py --trace 0 --seconds {seconds:g}, seeds {seeds}; "
                    f"GibbsTarget.propose replaying the batch sizes of one "
                    f"fpras-untabled cycle at seed {MIX_SEED}, "
                    f"{REPEATS} windows of at least {PROPOSE_WINDOW_S:g} s; "
                    f"space.labels() on fresh instances, {REPEATS} medians over "
-                   f"windows of at least {LABELS_WINDOW_S:g} s",
+                   f"windows of at least {LABELS_WINDOW_S:g} s; "
+                   f"_cftp_batch_indices over one exact request's schedule, "
+                   f"{REPEATS} windows of at least {CERTIFICATE_WINDOW_S:g} s",
         "environment": {
             "python": platform.python_version(),
             "numpy": version("numpy"),
@@ -247,7 +321,8 @@ def main(argv=None) -> int:
             name: {
                 **_git_state(repo),
                 "end_to_end": {
-                    w: {**{m: _spread([r[m] for r in runs[name][w]]) for m in metrics},
+                    w: {**{m: _spread([r[m] for r in runs[name][w]])
+                           for m in metrics + ["wall_s"]},
                         "failed": sum(r["failed"] for r in runs[name][w]),
                         "attempted": sum(r["attempted"] for r in runs[name][w]),
                         "runs": runs[name][w]}
@@ -260,7 +335,11 @@ def main(argv=None) -> int:
                     "label_table_ms": {
                         spec: {**_spread(label_ms[name][spec]),
                                "runs": label_ms[name][spec]}
-                        for spec in LABEL_SPECS}},
+                        for spec in LABEL_SPECS},
+                    "certificate_draws_per_s": {
+                        spec: {**certificate_info[spec], **_spread(draws[name][spec]),
+                               "runs": draws[name][spec]}
+                        for spec, *_ in certificate_cases}},
             }
             for name, repo in sides
         },
@@ -280,6 +359,10 @@ def main(argv=None) -> int:
                 spec: change["per_layer"]["label_table_ms"][spec]["median"]
                 / parent["per_layer"]["label_table_ms"][spec]["median"]
                 for spec in LABEL_SPECS},
+            "certificate_draws_per_s": {
+                spec: change["per_layer"]["certificate_draws_per_s"][spec]["median"]
+                / parent["per_layer"]["certificate_draws_per_s"][spec]["median"]
+                for spec, *_ in certificate_cases},
             "throughput_rps_pairs_won": {
                 w: sum(c["throughput_rps"] > p["throughput_rps"]
                        for c, p in zip(runs["change"][w], runs["parent"][w]))
