@@ -399,7 +399,7 @@ def _cftp_batch_indices(target, n, rng):
     for k, m in zip(steps, np.searchsorted(-depths[order], -steps)):
         step = ends[:m] - k
         np.copyto(state[:m], step, where=bids[step] >= level[state[:m]])
-    state[order] = state.copy()
+    state[order] = state.copy()  # back to hit order
     return z[state], depths, s_z[state]
 
 
