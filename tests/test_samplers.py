@@ -719,7 +719,6 @@ def test_a_search_without_hits_grows_by_at_most_doubling(monkeypatch, n):
 def test_a_large_search_takes_few_propose_calls(monkeypatch):
     # the largest fpras-tabled ratio: 15,474 draws at beta 1 on hypercube:12
     target = unit_target(Hypercube(12), seed=136, norm=3.4)
-    target.table
     sizes = recorded_propose(monkeypatch)
     _, depths, _ = _cftp_batch_indices(target, 15_474, np.random.default_rng(137))
     assert depths.max() >= 20  # one propose call per round would make 20 or more
