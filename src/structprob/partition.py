@@ -33,9 +33,8 @@ from .model import FEATURE_NORM_BOUND, ln_count
 from .samplers import (
     GibbsTarget,
     _approx_batch_indices,
-    _ceiling_text,
     _cftp_batch_indices,
-    _check_work,
+    _check_expected_proposals,
     _logsumexp,
     sample_exact_cftp,  # unused here; the benchmark tracer patches this name
 )
@@ -216,18 +215,15 @@ def check_partition_work(
 
     Each of a run's l ratios is priced as S draws at beta = 1, the
     costliest: delta_beta only falls as beta rises, so certificates get no
-    cheaper and chains no shorter.
+    cheaper and the mixing bound no shorter.
     """
     l = 1 + _grid(FEATURE_NORM_BOUND, target.params.theta_norm, p)[1]
     S = sample_size(epsilon, l, p)
-    what = f"{runs} partition estimates of {l} ratios of {S} draws"
-    if mode == EXACT:
-        _check_work(log(runs * l * S) + target.log_rounds_per_certificate,
-                    f"{what} at {_ceiling_text(target)} expect")
-        return l, S, None
-    eps_tv = tv_target(epsilon, l, p)
-    steps = target.mixing_steps(eps_tv)
-    _check_work(log(runs * l * S * (steps + 1)), f"{what}, {steps} steps each, need")
+    eps_tv = None if mode == EXACT else tv_target(epsilon, l, p)
+    steps = None if eps_tv is None else target.mixing_steps(eps_tv)
+    _check_expected_proposals(target, runs * l * S, steps,
+                              f"{runs} partition estimates of {l} ratios of {S} draws"
+                              + ("" if steps is None else f", {steps} steps each,"))
     return l, S, eps_tv
 
 

@@ -14,8 +14,8 @@ yields three samplers, each drawing n independent samples in one call:
 
 * ``sample_exact_cftp(target, n, rng)`` -- exact samples via coupling from
   the past, with each run's certificate depth,
-* ``sample_rejection(target, n, rng)``  -- an independent exact sampler
-  (envelope rejection) used to cross-check CFTP, with each run's trials,
+* ``sample_rejection(target, n, rng)``  -- exact samples by envelope
+  rejection, with each run's trials; its accepts are CFTP's certificates,
 * ``sample_approx(target, eps_tv, n, rng)`` -- approximate samples after a
   provable number of steps within any total-variation budget.
 
@@ -38,11 +38,12 @@ exact (and at most |Y|) on a tabled target, at most exp(2*beta*B*R) on an
 untabled one.  The same delta_beta is the Doeblin constant of the
 approximate sampler's chain, so one number prices all three samplers.
 
-That event is also the rejection sampler's accept.  So both exact samplers
-cut one i.i.d. pool of proposals into runs that end at their certificates,
-CFTP adding a Metropolis replay of each run's earlier proposals, and the
-approximate sampler runs lockstep chains.  All of them draw from
-``GibbsTarget.propose``.
+That event is also the rejection sampler's accept, and once it forces every
+chain onto its proposal nothing earlier matters: a T-step chain from a
+uniform start is a CFTP run whose backward search stops after T + 1
+proposals, the last its start.  So all three samplers cut one i.i.d. pool
+from ``GibbsTarget.propose`` into runs; rejection returns their
+certificates, and CFTP and the approximate sampler replay them.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ from .spaces import ENUMERATION_CAP, LabelTable, OutputSpace, Structure
 # tabled target and minutes on an untabled one, and a certificate search
 # keeps its whole proposal pool, a few percent past the proposals its runs
 # use, until the replay.  Summed over their ratios, the largest fpras-tabled
-# benchmark requests expect about 4.8e5 certificate proposals (exact mode)
-# and 3.8e5 chain proposals (approximate mode).
+# benchmark requests expect about 4.8e5 proposals in exact mode and fewer
+# in approximate mode.
 MAX_EXPECTED_PROPOSALS = 10**7
 
 _LN2 = log(2.0)
@@ -339,67 +340,98 @@ def _ceiling_text(target: GibbsTarget) -> str:
     return f"beta*s_max = {target.beta * target.score_ceiling:.6g}"
 
 
-def _check_expected_proposals(target: GibbsTarget, n: int) -> None:
-    """Refuse n certificate runs expected to need too many proposals."""
-    _check_work(
-        log(n) + target.log_rounds_per_certificate if n else -inf,
-        f"a certificate search for {n} runs at {_ceiling_text(target)} expects",
-    )
+def _check_expected_proposals(target: GibbsTarget, n: int, steps: Optional[int] = None,
+                              what: Optional[str] = None) -> None:
+    """Refuse n runs whose expected proposals, n*min(1/delta_beta, steps + 1),
+    exceed MAX_EXPECTED_PROPOSALS: a run ends at its certificate or, cut off
+    at ``steps``, after steps + 1.  ``what`` names the request, plural."""
+    log_rounds = target.log_rounds_per_certificate
+    if steps is not None:
+        log_rounds = min(log_rounds, log1p(steps))
+        what = what or f"{n} approximate draws of {steps} steps each"
+    subject = f"{what} at {_ceiling_text(target)} expect" if what else (
+        f"a certificate search for {n} runs at {_ceiling_text(target)} expects")
+    _check_work(log(n) + log_rounds if n else -inf, subject)
 
 
-def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator):
-    """First certificates of n runs, cut from one pool of uniform proposals.
+def _run_ends(hit: np.ndarray, drawn: int, steps: Optional[int]) -> np.ndarray:
+    """End positions of the runs that a pool of ``drawn`` proposals with
+    certificates at ``hit`` completes, each run ending at its first
+    certificate or, given ``steps``, after steps + 1 positions: each stretch
+    up to a hit holds runs cut off every steps + 1 positions, then the run
+    that ends at the hit."""
+    if steps is None:
+        return hit
+    cap = steps + 1
+    start = np.concatenate(([0], hit + 1))  # where each stretch begins
+    stop = np.append(hit, drawn)  # its hit, or the end of the pool
+    runs = (stop - start) // cap + 1
+    runs[-1] -= 1  # the last stretch has no hit
+    j = np.arange(1, runs.sum() + 1) - np.repeat(np.cumsum(runs) - runs, runs)
+    return np.minimum(np.repeat(start - 1, runs) + cap * j, np.repeat(stop, runs))
+
+
+def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator,
+                        steps: Optional[int] = None):
+    """n runs cut from one pool of uniform proposals.
 
     Each proposal z bids a = beta*s(z) + E with E ~ Exp(1) (E is -ln u) and
-    certifies when a >= beta*s_max.  The pool is one i.i.d. stream, so run j
-    is the segment that ends at its j-th hit, and its depth is the gap
-    between hits: geometric with mean 1/delta_beta, exactly so on a tabled
-    target.  The pool grows in a few ``propose`` chunks, each sized from the
-    hit rate realized so far; a chunk after no hit at most doubles the pool.
-    Returns (keys, scores, depths, pool): the hit proposals in hit order, and
-    the pool as (keys, scores, bids, hit positions).  Raises
-    EpochBudgetExhausted before any draw when the expected number of
-    proposals exceeds MAX_EXPECTED_PROPOSALS.
+    certifies when a >= beta*s_max.  The pool is one i.i.d. stream, cut into
+    runs by ``_run_ends``; without ``steps`` run j ends at the j-th hit, and
+    its depth, the gap between hits, is geometric with mean 1/delta_beta.
+    The pool grows in a few ``propose`` chunks, each sized from the rate of
+    completed runs so far; a chunk after none at most doubles the pool.
+    Returns (ends, depths, (keys, scores, bids)): each run's last pool
+    position and length, in pool order, and the pool.  Refused up front by
+    ``_check_expected_proposals``.
     """
-    _check_expected_proposals(target, n)
+    _check_expected_proposals(target, n, steps)
     beta = target.beta
     bound = beta * target.score_ceiling
-    chunks, drawn, hits, size = [], 0, 0, n
+    chunks, hits, drawn, size = [], [], 0, n
     while True:  # the first chunk always runs, even for n = 0
         z, s_z = target.propose(rng, size)
         bids = beta * s_z + rng.standard_exponential(size)
         chunks.append((z, s_z, bids))
+        hits.append(drawn + np.flatnonzero(bids >= bound))
         drawn += size
-        hits += int(np.count_nonzero(bids >= bound))
-        if hits >= n:
+        ends = _run_ends(np.concatenate(hits), drawn, steps)
+        if (runs := len(ends)) >= n:
             break
         # the need plus two standard deviations, at a high estimate of the rate
-        need, rate = n - hits, (hits + 2.0 * sqrt(hits) + 2.0) / drawn
-        size = ceil((need + 2.0 * sqrt(need)) / rate) if hits else drawn
-    z, s_z, bids = (np.concatenate(part) for part in zip(*chunks))
-    hit = np.flatnonzero(bids >= bound)[:n]
-    return z[hit], s_z[hit], np.diff(hit, prepend=-1), (z, s_z, bids, hit)
+        need, rate = n - runs, (runs + 2.0 * sqrt(runs) + 2.0) / drawn
+        size = ceil((need + 2.0 * sqrt(need)) / rate) if runs else drawn
+    pool = chunks[0] if len(chunks) == 1 else tuple(np.concatenate(p) for p in zip(*chunks))
+    ends = ends[:n]
+    return ends, np.diff(ends, prepend=-1), pool
 
 
-def _cftp_batch_indices(target, n, rng):
-    """n CFTP runs as (keys, certificate depths, scores), in hit order.
+def _cftp_batch_indices(target, n, rng, steps=None, start=None):
+    """n CFTP runs as (keys, depths, scores), in pool order.
 
-    Run j starts from its certificate at pool position hit_j and replays the
-    Metropolis rule forward through its earlier proposals, step k over
-    position hit_j - k: it moves to z when z's bid reaches beta*s(state).
-    With the runs sorted by depth once, those still open at step k are a
-    prefix.  States are pool positions; keys and scores are gathered once.
+    Run j starts from its last pool position end_j and replays the
+    Metropolis rule through its earlier proposals, step k over end_j - k: it
+    moves to z when z's bid reaches beta*s(state).  A run that ends at a
+    certificate is exact; one cut off at steps + 1 positions is the
+    ``steps``-step chain from the uniform proposal at end_j, or from table
+    row ``start[j]``.  With the runs sorted by depth once, those still open
+    at step k are a prefix.
     """
-    _, _, depths, (z, s_z, bids, hit) = _certificate_rounds(target, n, rng)
-    order = np.argsort(-depths)  # deepest first
-    ends = hit[order]
+    ends, depths, (z, s_z, bids) = _certificate_rounds(target, n, rng, steps)
     state = ends.copy()
+    if start is not None:  # cut-off runs start from their own rows instead
+        cut = np.flatnonzero(depths == steps + 1)
+        state[cut] = len(z) + cut
+        z = np.concatenate((z, start))
+        s_z = np.concatenate((s_z, target.table.scores[start]))
+    order = np.argsort(-depths)  # deepest first
+    ends, state = ends[order], state[order]
     level = target.beta * s_z
-    steps = np.arange(1, depths.max(initial=1))
-    for k, m in zip(steps, np.searchsorted(-depths[order], -steps)):
+    rounds = np.arange(1, depths.max(initial=1))
+    for k, m in zip(rounds, np.searchsorted(-depths[order], -rounds)):
         step = ends[:m] - k
         np.copyto(state[:m], step, where=bids[step] >= level[state[:m]])
-    state[order] = state.copy()  # back to hit order
+    state[order] = state.copy()  # back to pool order
     return z[state], depths, s_z[state]
 
 
@@ -430,24 +462,13 @@ def sample_rejection(
     A uniform draw z is accepted with probability
     exp(beta * (score(z) - s_max)) <= 1, so accepted draws follow pi_beta
     exactly and the expected number of trials is 1/delta_beta: exact (at
-    most |Y|) on a tabled target, at most exp(2*beta*B*R) otherwise.
-    Refused before any draw like ``sample_exact_cftp``.
+    most |Y|) on a tabled target, at most exp(2*beta*B*R) otherwise.  The
+    accepts are the certificates of CFTP's search, so on one stream the
+    trial counts are CFTP's depths.  Refused before any draw like
+    ``sample_exact_cftp``.
     """
-    keys, _, trials, _ = _certificate_rounds(target, n, rng)
-    return target.structures(keys), trials
-
-
-def _chain(target, steps, keys, scores, rng):
-    """Advance len(keys) lockstep Metropolis chains by ``steps`` transitions."""
-    n = len(keys)
-    beta = target.beta
-    rows = (n,) + (1,) * (keys.ndim - 1)  # accept broadcasts over payload rows
-    for _ in range(steps):
-        z, s_z = target.propose(rng, n)
-        accept = np.log(rng.random(n)) <= beta * s_z - beta * scores
-        keys = np.where(accept.reshape(rows), z, keys)
-        scores = np.where(accept, s_z, scores)
-    return keys, scores
+    ends, trials, (z, _, _) = _certificate_rounds(target, n, rng)
+    return target.structures(z[ends]), trials
 
 
 def sample_approx(
@@ -456,12 +477,12 @@ def sample_approx(
     n: int,
     rng: np.random.Generator,
 ) -> list[Structure]:
-    """n independent samples from lockstep chains run from uniform starts
-    for ``target.mixing_steps(eps_tv)`` steps.
+    """n independent samples of the chain run from a uniform start for
+    ``target.mixing_steps(eps_tv)`` steps: CFTP runs cut off at that many.
 
     Each sample's law is within total-variation distance eps_tv of pi_beta.
-    Raises EpochBudgetExhausted before any draw when the n*(steps + 1)
-    proposals exceed MAX_EXPECTED_PROPOSALS.
+    Refused before any draw like ``sample_exact_cftp``, at
+    n*min(1/delta_beta, steps + 1) expected proposals.
     """
     return target.structures(_approx_batch_indices(target, eps_tv, n, rng)[0])
 
@@ -473,36 +494,25 @@ def chain_state_indices(
     rng: np.random.Generator,
     start=None,
 ) -> np.ndarray:
-    """Final states of n lockstep chains after exactly ``steps`` transitions.
+    """Final states of n independent chains after exactly ``steps``
+    transitions, as CFTP runs cut off at that many.
 
     Requires a score table.  ``start`` may be a single state index shared by
     all chains, an array of per-chain start indices, or None for independent
     uniform starts.  Used by empirical mixing diagnostics.
     """
-    table = target.table
-    if table is None:
+    if target.table is None:
         raise ValueError("chain_state_indices needs a space small enough to tabulate")
-    if start is None:
-        keys, scores = target.propose(rng, n)
-    else:
-        keys = np.array(np.full(n, start) if np.ndim(start) == 0 else start, dtype=np.int64)
-        if keys.shape != (n,):
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if start is not None:
+        start = np.array(np.full(n, start) if np.ndim(start) == 0 else start, dtype=np.int64)
+        if start.shape != (n,):
             raise ValueError("start array must have one entry per chain")
-        scores = table.scores[keys]
-    return _chain(target, steps, keys, scores, rng)[0]
-
-
-def _approx_steps(target, eps_tv, n):
-    """The mixing bound each of n chains runs, refused when the
-    n*(steps + 1) proposals exceed MAX_EXPECTED_PROPOSALS."""
-    steps = target.mixing_steps(eps_tv)
-    _check_work(log(n * (steps + 1)) if n else -inf,
-                f"{n} approximate draws of {steps} steps each need")
-    return steps
+    return _cftp_batch_indices(target, n, rng, steps, start)[0]
 
 
 def _approx_batch_indices(target, eps_tv, n, rng):
     """(keys, scores) of n chains run from uniform starts for the mixing bound."""
-    steps = _approx_steps(target, eps_tv, n)
-    keys, scores = target.propose(rng, n)
-    return _chain(target, steps, keys, scores, rng)
+    keys, _, scores = _cftp_batch_indices(target, n, rng, target.mixing_steps(eps_tv))
+    return keys, scores

@@ -239,8 +239,8 @@ class LabelTable:
     order.  Nothing here depends on parameters or inputs: the joint map is
     bilinear, so the score of y_k under theta and x is ``features[k] @ v``
     for one vector v folded from theta and x, and every target on the space
-    can share this table.  ``structures`` and ``index`` are built on first
-    use only: kernels that read row indices and scores never need them.
+    can share this table.  ``structures`` is built on first use only:
+    kernels that read row indices and scores never need it.
     """
 
     space: "OutputSpace"  # an equal copy: the space that caches the table is not kept
@@ -251,11 +251,6 @@ class LabelTable:
     def structures(self) -> tuple[Structure, ...]:
         """The Structure behind each row."""
         return tuple(self.space.structures(self.payloads))
-
-    @cached_property
-    def index(self) -> dict[Structure, int]:
-        """Row of each structure."""
-        return {y: k for k, y in enumerate(self.structures)}
 
 
 class OutputSpace:

@@ -147,23 +147,20 @@ class _ExactData:
 def _exact_data(data: Dataset, space: OutputSpace, unique=None,
                 enumerated: bool = True) -> _ExactData:
     """The layout of ``data``; ``unique`` is its ``_unique_inputs`` when
-    already computed.  Without ``enumerated`` the space's label matrix is not
-    built, and each label's row comes from its own feature vector, as the
-    mcmc gradient needs on spaces above the enumeration cap."""
+    already computed.  Each label's row is its own feature vector, so a
+    label outside the space is refused as WrongSpace; ``enumerated`` only
+    decides whether the space's label matrix is built, as the exact pass
+    needs and the mcmc gradient on spaces above the enumeration cap cannot
+    afford."""
+    for inst in data.instances:
+        if not space.contains(inst.y):
+            raise WrongSpace(f"label {inst.y} is not a structure of the space")
+    psi = np.stack([space.output_features(inst.y) for inst in data.instances])
+    psi /= space.max_feature_norm()
+    features = None
     if enumerated:
         labels = space.label_table
-        if labels is None:
-            labels = space.labels()
-        label_rows = [labels.index.get(inst.y) for inst in data.instances]
-        if None in label_rows:
-            y = data.instances[label_rows.index(None)].y
-            raise WrongSpace(f"label {y} is not a structure of the space")
-        features = labels.features
-        psi = features[label_rows]
-    else:
-        features = None
-        psi = np.stack([space.output_features(inst.y) for inst in data.instances])
-        psi /= space.max_feature_norm()
+        features = (space.labels() if labels is None else labels).features
     inputs, counts, groups = _unique_inputs(data) if unique is None else unique
     xs = np.stack([x.reshape(-1) for x in inputs])
     norms = np.linalg.norm(xs, axis=1)

@@ -345,8 +345,9 @@ def test_tabled_sample_over_the_limit_is_still_refused(capsys, sampler):
     _refused_quickly(capsys, [
         "sample", "--space", "hypercube:6", "--theta-random", "40",
         "--norm-budget", "40", "--n", "1000000", "--seed", "1", "--sampler", sampler,
-    ], 3, (r"1000000 approximate draws of \d+ steps each need " if sampler == "approx"
-           else r"1000000 runs at beta\*s_max = [\d.]+ expects ") + ESTIMATE)
+    ], 3, (r"1000000 approximate draws of \d+ steps each at beta\*s_max = [\d.]+ expect "
+           if sampler == "approx" else r"1000000 runs at beta\*s_max = [\d.]+ expects ")
+        + ESTIMATE)
 
 
 def test_partition_prices_all_runs_before_the_first(capsys):
@@ -629,7 +630,7 @@ def test_verify_passes(tmp_path):
 
 def test_partition_refuses_hopeless_exact_sampling(capsys):
     # about 1.6e9 expected proposals over 120 ratios: refused with the
-    # estimate, not run; likewise about 1.7e10 proposals of approximate chains
+    # estimate, not run; likewise about 1.9e9 proposals of approximate draws
     for space, norm, extra in (("hypercube:6", "40", ["--eps", "0.2"]),
                                ("hypercube:12", "5", ["--eps", "0.01", "--mode",
                                                       "approximate"])):

@@ -31,6 +31,7 @@ from structprob.samplers import (
     _approx_batch_indices,
     _certificate_rounds,
     _cftp_batch_indices,
+    _run_ends,
     expected_proposals,
 )
 
@@ -608,7 +609,8 @@ def draws_and_depths(target, sampler, n, seed):
     if sampler == "cftp":
         keys, depths, _ = _cftp_batch_indices(target, n, rng)
     else:
-        keys, _, depths, _ = _certificate_rounds(target, n, rng)
+        ends, depths, (z, _, _) = _certificate_rounds(target, n, rng)
+        keys = z[ends]
     return keys, depths
 
 
@@ -702,7 +704,7 @@ def test_a_search_without_hits_grows_by_at_most_doubling(monkeypatch, n):
     target = unit_target(Hypercube(10), seed=131, norm=1.5, beta=25.0)
     assert exp(-target.log_rounds_per_certificate) < 0.01
     sizes = recorded_propose(monkeypatch)
-    _, _, depths, (_, _, bids, hit) = _certificate_rounds(
+    hit, depths, (_, _, bids) = _certificate_rounds(
         target, n, np.random.default_rng(135))
     assert len(depths) == n and len(hit) == n
     hits = np.add.reduceat(bids >= target.beta * target.score_ceiling,
@@ -735,7 +737,7 @@ def test_unused_proposals_stay_small(beta):
         searches = 30 if n < 15_474 else 5
         used = unused = 0
         for seed in range(searches):
-            _, _, depths, (z, _, _, _) = _certificate_rounds(
+            _, depths, (z, _, _) = _certificate_rounds(
                 target, n, np.random.default_rng((138, seed)))
             used += depths.sum()
             unused += len(z) - depths.sum()
@@ -754,3 +756,89 @@ def test_refusal_comes_before_any_proposal(monkeypatch, tabled):
         with pytest.raises(EpochBudgetExhausted, match="proposals"):
             sampler(target, 1_000_000, rng)
     assert sizes == [] and rng.bit_generator.state == state
+
+
+# ------------------------------- approximate draws: CFTP runs cut off at T
+
+def scanned_run_ends(bids_hit, steps):
+    """Run ends by a scan over the pool, one position at a time."""
+    ends, length = [], 0
+    for position, hit in enumerate(bids_hit):
+        length += 1
+        if hit or (steps is not None and length == steps + 1):
+            ends.append(position)
+            length = 0
+    return ends
+
+
+@pytest.mark.parametrize("steps", [None, 0, 1, 2, 5, 40])
+def test_run_ends_match_a_scan(steps):
+    rng = np.random.default_rng(150)
+    for rate in (0.0, 0.05, 0.3, 1.0):
+        hit = rng.random(300) < rate
+        ends = _run_ends(np.flatnonzero(hit), len(hit), steps)
+        assert ends.tolist() == scanned_run_ends(hit, steps)
+
+
+def law_targets():
+    """Three tabled targets whose certificates fire once in about 2, 5 and
+    10 proposals."""
+    return [pool_target(1.0),
+            unit_target(CyclicPermutations(5), seed=152, norm=2.0, beta=4.0),
+            unit_target(Hypercube(4), seed=151, norm=1.5, beta=6.0)]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_cut_off_runs_follow_the_exact_chain_law(which):
+    # at every T, from the uniform start and from the stickiest state, the
+    # draws follow the law of the T-step chain (family-wise level 0.01)
+    target = law_targets()[which]
+    scores = target.table.scores
+    k = len(scores)
+    mean_depth = exp(target.log_rounds_per_certificate)
+    steps = sorted({0, 1, 2, 3, 7, round(2 * mean_depth), round(6 * mean_depth)})
+    top = int(np.argmax(scores))
+    starts = {None: np.full(k, 1.0 / k), top: np.eye(k)[top]}
+    laws = metropolis_laws(scores, target.beta, np.vstack(list(starts.values())), set(steps))
+    checks = len(steps) * len(starts)
+    for t in steps:
+        for row, start in enumerate(starts):
+            rng = np.random.default_rng((153, which, t, row))
+            keys = chain_state_indices(target, t, 20_000, rng, start=start)
+            if t == 0 and start is not None:
+                assert np.all(keys == start)
+                continue
+            p = gof_p_value(np.bincount(keys, minlength=k), laws[t][row])
+            assert p > 0.01 / checks, (t, start, p)
+
+
+def test_an_approximate_draw_at_eps_one_is_one_proposal(monkeypatch):
+    # eps_tv = 1 is 0 steps: every run is its one uniform proposal
+    target = unit_target(Hypercube(6), seed=154, norm=1.5)
+    sizes = recorded_propose(monkeypatch)
+    keys, _ = _approx_batch_indices(target, 1.0, 5_000, np.random.default_rng(155))
+    assert sizes == [5_000] and len(keys) == 5_000
+
+
+def test_approximate_draws_cost_at_most_the_certificate_depth(monkeypatch):
+    # a run stops at its certificate or at T + 1 positions, whichever comes
+    # first: about n/delta_beta proposals, not the n*(T + 1) of lockstep chains
+    target = unit_target(Hypercube(6), seed=154, norm=1.5)
+    n, steps = 20_000, target.mixing_steps(1e-3)
+    mean_depth = exp(target.log_rounds_per_certificate)
+    assert steps + 1 > 5 * mean_depth
+    sizes = recorded_propose(monkeypatch)
+    _approx_batch_indices(target, 1e-3, n, np.random.default_rng(156))
+    assert 0.95 * n * mean_depth <= sum(sizes) <= 1.2 * n * mean_depth
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_a_cut_no_run_reaches_leaves_cftp_unchanged(tabled):
+    # with every depth below the cut, the search and the draws are CFTP's
+    target = unit_target(Hypercube(5), seed=157, norm=1.2)
+    if not tabled:
+        target = untabled(target)
+    exact = _cftp_batch_indices(target, 400, np.random.default_rng(158))
+    cut = _cftp_batch_indices(target, 400, np.random.default_rng(158), 10**6)
+    for a, b in zip(exact, cut):
+        assert np.array_equal(a, b)

@@ -289,7 +289,6 @@ def test_label_table_matches_the_per_structure_build(space):
     assert table.payloads.shape[0] == len(structures) == space.count()
     assert np.array_equal(table.features, psi)
     assert table.structures == structures
-    assert table.index == {y: k for k, y in enumerate(structures)}
     with pytest.raises(ValueError):
         table.payloads[0, 0] = 0
 

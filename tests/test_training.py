@@ -12,6 +12,7 @@ from structprob import (
     SamplerFailure,
     Structure,
     TrainConfig,
+    WrongSpace,
     exact_argmax,
     gradient,
     joint_features,
@@ -309,3 +310,27 @@ def test_make_toy_dataset_deterministic():
     b = make_toy_dataset(SPACE, m=6, rng=np.random.default_rng(159))
     assert [i.y for i in a.instances] == [i.y for i in b.instances]
     assert all(SPACE.contains(i.y) for i in a.instances)
+
+
+@pytest.mark.parametrize("d, enumerated", [(4, True), (4, False), (21, False)])
+def test_layouts_refuse_a_label_outside_the_space(d, enumerated):
+    # both gradient modes read each label's own row and check it against the
+    # space, also above the enumeration cap, where no label table exists
+    y = Structure("hypercube", (0, 2) + (0,) * (d - 2))
+    data = Dataset((Instance(np.ones(2), y),))
+    with pytest.raises(WrongSpace, match="is not a structure of the space"):
+        training_mod._exact_data(data, Hypercube(d), None, enumerated)
+
+
+def test_layout_rows_are_the_label_table_rows(toy_data):
+    # the observed term is the same with or without the label matrix, and is
+    # the sum of the table rows of the labels, bit for bit
+    with_table = training_mod._exact_data(toy_data, SPACE)
+    without = training_mod._exact_data(toy_data, SPACE, None, False)
+    assert without.features is None
+    assert np.array_equal(with_table.features, SPACE.label_table.features)
+    assert np.array_equal(with_table.observed, without.observed)
+    rows = [int("".join(map(str, inst.y.payload)), 2) for inst in toy_data.instances]
+    xs = np.stack([inst.x / np.linalg.norm(inst.x) for inst in toy_data.instances])
+    assert np.allclose(with_table.observed, xs.T @ SPACE.label_table.features[rows],
+                       rtol=0, atol=1e-12)

@@ -17,7 +17,10 @@ sizes (the untabled space's sequence on its tabled sibling too).  It also
 measures exact certificate draws/s: ``samplers._cftp_batch_indices`` at
 every beta of one exact request's schedule, with that request's per-ratio
 sample size, on each exact space of ``fpras-tabled`` at norm 3.4 and of
-``fpras-untabled`` at norm 1.15.  Spaces and directions are built by
+``fpras-untabled`` at norm 1.15; and approximate draws/s:
+``samplers._approx_batch_indices`` the same way, with the request's
+per-draw total-variation budget, for each approximate request of
+``fpras-tabled``.  Spaces and directions are built by
 ``bench/workloads.py``, so the benchmark stays the one place that defines
 them.
 
@@ -55,8 +58,8 @@ MIX_SEED = 1
 PROPOSE_WINDOW_S = 1.0
 # Each label-table time is the median of the builds of this many seconds.
 LABELS_WINDOW_S = 0.3
-# Each certificate rate replays one request's schedule until at least this
-# many seconds have passed.
+# Each certificate or approximate draw rate replays one request's schedule
+# until at least this many seconds have passed.
 CERTIFICATE_WINDOW_S = 1.0
 # The norm of the exact requests whose schedules the certificate rates replay.
 CERTIFICATE_NORMS = {"fpras-tabled": 3.4, "fpras-untabled": 1.15}
@@ -122,46 +125,54 @@ print(json.dumps({"tabled": target.table is not None,
                   "rate": done / (time.perf_counter() - start)}))
 """
 
-# Run in a fresh interpreter in one checkout: exact draws/s of
-# _cftp_batch_indices over every beta of the schedule of one exact request
-# (space, norm, eps), with the theta direction drawn at seed 0 as the
-# workload draws it, the sampling stream at the given seed, and the score
-# tables built before the window.
-_CERTIFICATE_PROBE = """
+# Run in a fresh interpreter in one checkout: draws/s of _cftp_batch_indices
+# (exact) or _approx_batch_indices (approximate, within the request's
+# tv_target) over every beta of the schedule of one request (space, norm,
+# eps), with the theta direction drawn at seed 0 as the workload draws it,
+# the sampling stream at the given seed, and the score tables built before
+# the window.
+_DRAWS_PROBE = """
 import json, sys, time
 import numpy as np
 import workloads
 from structprob.model import FEATURE_NORM_BOUND, Params
-from structprob.partition import build_schedule, sample_size
-from structprob.samplers import GibbsTarget, _cftp_batch_indices
-spec, norm, eps = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
-seed, window = int(sys.argv[4]), float(sys.argv[5])
+from structprob.partition import build_schedule, sample_size, tv_target
+from structprob.samplers import GibbsTarget, _approx_batch_indices, _cftp_batch_indices
+spec, norm, eps, mode = sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), sys.argv[4]
+seed, window = int(sys.argv[5]), float(sys.argv[6])
 space = workloads.build_space(spec)
 theta = workloads._centred_direction(space, np.random.default_rng(0)) * norm
 target = GibbsTarget(space, Params(theta, norm_budget=norm))
 target.table
 schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm)
 S = sample_size(eps, schedule.l, schedule.p)
+eps_tv = tv_target(eps, schedule.l, schedule.p)
+draw = ((lambda t: _cftp_batch_indices(t, S, rng)) if mode == "exact"
+        else (lambda t: _approx_batch_indices(t, eps_tv, S, rng)))
 targets = [target.at_beta(beta) for beta in schedule.betas[1:]]
 rng = np.random.default_rng(seed)
-_cftp_batch_indices(targets[0], S, rng)
+draw(targets[0])
 done, start = 0, time.perf_counter()
 while not done or time.perf_counter() - start < window:
     for t in targets:
-        _cftp_batch_indices(t, S, rng)
+        draw(t)
     done += S * len(targets)
 print(json.dumps({"tabled": target.table is not None, "S": S, "ratios": len(targets),
                   "rate": done / (time.perf_counter() - start)}))
 """
 
-# The (space, norm, eps) of the exact requests the certificate rates replay.
-_CERTIFICATE_CASES = """
+# The (space, norm, eps) of the requests the draw rates replay, per mode:
+# the exact requests at the given norm of each workload, and every
+# approximate request of fpras-tabled.
+_DRAW_CASES = """
 import json, sys
 import workloads
 norms = json.loads(sys.argv[1])
-print(json.dumps(sorted({(t.space, t.norm, t.eps) for w, norm in norms.items()
-                         for t in workloads.TEMPLATES[w]
-                         if t.mode == "exact" and t.norm == norm})))
+exact = {(t.space, t.norm, t.eps) for w, norm in norms.items()
+         for t in workloads.TEMPLATES[w] if t.mode == "exact" and t.norm == norm}
+approximate = {(t.space, t.norm, t.eps) for t in workloads.TEMPLATES["fpras-tabled"]
+               if t.mode == "approximate"}
+print(json.dumps({"exact": sorted(exact), "approximate": sorted(approximate)}))
 """
 
 # Run in a fresh interpreter in one checkout: milliseconds of one
@@ -218,9 +229,26 @@ def _probe(repo: Path, code: str, *args: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def _propose_rate(repo: Path, spec: str, sizes: list[int], seed: int) -> dict:
-    return _probe(repo, _PROPOSE_PROBE, spec, json.dumps(sizes), str(seed),
-                  str(PROPOSE_WINDOW_S))
+def _propose_rate(repo: Path, spec: str, sizes: list[int], seed: int,
+                  window: float = PROPOSE_WINDOW_S) -> dict:
+    return _probe(repo, _PROPOSE_PROBE, spec, json.dumps(sizes), str(seed), str(window))
+
+
+def _label_ms(repo: Path, spec: str, window: float = LABELS_WINDOW_S) -> dict:
+    return _probe(repo, _LABELS_PROBE, spec, str(window))
+
+
+def _draw_cases(repo: Path) -> dict:
+    """{mode: [(space, norm, eps), ...]} of the requests the draw rates replay."""
+    cases = _probe(repo, _DRAW_CASES, json.dumps(CERTIFICATE_NORMS))
+    return {mode: [tuple(c) for c in found] for mode, found in cases.items()}
+
+
+def _draw_rate(repo: Path, case: tuple, mode: str, seed: int,
+               window: float = CERTIFICATE_WINDOW_S) -> dict:
+    spec, norm, eps = case
+    return _probe(repo, _DRAWS_PROBE, spec, repr(norm), repr(eps), mode, str(seed),
+                  str(window))
 
 
 def _alternating(sides, i):
@@ -248,6 +276,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     sides = [("change", ROOT)] + ([("parent", args.parent.resolve())] if args.parent else [])
     seeds = list(range(1, REPEATS + 1))
+    states = {name: _git_state(repo) for name, repo in sides}  # what the runs measure
 
     runs = {name: {w: [] for w in workloads} for name, _ in sides}
     for w in workloads:
@@ -276,27 +305,29 @@ def main(argv=None) -> int:
     for spec in LABEL_SPECS:
         for i, _ in enumerate(seeds):
             for name, repo in _alternating(sides, i):
-                probe = _probe(repo, _LABELS_PROBE, spec, str(LABELS_WINDOW_S))
+                probe = _label_ms(repo, spec)
                 label_ms[name][spec].append(probe["ms"])
         print(f"labels {spec}: " + ", ".join(
             f"{n} {_spread(label_ms[n][spec])['median']:.3g} ms" for n, _ in sides),
             file=sys.stderr)
 
-    certificate_cases = [tuple(c) for c in _probe(
-        ROOT, _CERTIFICATE_CASES, json.dumps(CERTIFICATE_NORMS))]
-    draws = {name: {spec: [] for spec, *_ in certificate_cases} for name, _ in sides}
-    certificate_info = {}
-    for spec, norm, eps in certificate_cases:
-        for i, seed in enumerate(seeds):
-            for name, repo in _alternating(sides, i):
-                probe = _probe(repo, _CERTIFICATE_PROBE, spec, repr(norm), repr(eps),
-                               str(seed), str(CERTIFICATE_WINDOW_S))
-                draws[name][spec].append(probe["rate"])
-                certificate_info[spec] = {"norm": norm, "eps": eps, "tabled": probe["tabled"],
-                                          "S": probe["S"], "ratios": probe["ratios"]}
-        print(f"certificate {spec}: " + ", ".join(
-            f"{n} {_spread(draws[n][spec])['median']:.3g}/s" for n, _ in sides),
-            file=sys.stderr)
+    draw_cases = _draw_cases(ROOT)
+    draws = {name: {mode: {spec: [] for spec, *_ in found} for mode, found in draw_cases.items()}
+             for name, _ in sides}
+    draw_info = {mode: {} for mode in draw_cases}
+    for mode, found in draw_cases.items():
+        for case in found:
+            spec, norm, eps = case
+            for i, seed in enumerate(seeds):
+                for name, repo in _alternating(sides, i):
+                    probe = _draw_rate(repo, case, mode, seed)
+                    draws[name][mode][spec].append(probe["rate"])
+                    draw_info[mode][spec] = {"norm": norm, "eps": eps, "tabled": probe["tabled"],
+                                             "S": probe["S"], "ratios": probe["ratios"]}
+            print(f"{mode} draws {spec}: " + ", ".join(
+                f"{n} {_spread(draws[n][mode][spec])['median']:.3g}/s" for n, _ in sides),
+                file=sys.stderr)
+    draw_metrics = {"exact": "certificate_draws_per_s", "approximate": "approx_draws_per_s"}
 
     report = {
         "command": f"bench/run.py --trace 0 --seconds {seconds:g}, seeds {seeds}; "
@@ -305,7 +336,8 @@ def main(argv=None) -> int:
                    f"{REPEATS} windows of at least {PROPOSE_WINDOW_S:g} s; "
                    f"space.labels() on fresh instances, {REPEATS} medians over "
                    f"windows of at least {LABELS_WINDOW_S:g} s; "
-                   f"_cftp_batch_indices over one exact request's schedule, "
+                   f"_cftp_batch_indices over one exact request's schedule and "
+                   f"_approx_batch_indices over one approximate request's, "
                    f"{REPEATS} windows of at least {CERTIFICATE_WINDOW_S:g} s",
         "environment": {
             "python": platform.python_version(),
@@ -319,7 +351,7 @@ def main(argv=None) -> int:
             for spec, sizes in mix["sizes"].items()},
         "sides": {
             name: {
-                **_git_state(repo),
+                **states[name],
                 "end_to_end": {
                     w: {**{m: _spread([r[m] for r in runs[name][w]])
                            for m in metrics + ["wall_s"]},
@@ -336,12 +368,12 @@ def main(argv=None) -> int:
                         spec: {**_spread(label_ms[name][spec]),
                                "runs": label_ms[name][spec]}
                         for spec in LABEL_SPECS},
-                    "certificate_draws_per_s": {
-                        spec: {**certificate_info[spec], **_spread(draws[name][spec]),
-                               "runs": draws[name][spec]}
-                        for spec, *_ in certificate_cases}},
+                    **{draw_metrics[mode]: {
+                        spec: {**draw_info[mode][spec], **_spread(draws[name][mode][spec]),
+                               "runs": draws[name][mode][spec]}
+                        for spec, *_ in found} for mode, found in draw_cases.items()}},
             }
-            for name, repo in sides
+            for name, _ in sides
         },
     }
     if args.parent:
@@ -359,10 +391,10 @@ def main(argv=None) -> int:
                 spec: change["per_layer"]["label_table_ms"][spec]["median"]
                 / parent["per_layer"]["label_table_ms"][spec]["median"]
                 for spec in LABEL_SPECS},
-            "certificate_draws_per_s": {
-                spec: change["per_layer"]["certificate_draws_per_s"][spec]["median"]
-                / parent["per_layer"]["certificate_draws_per_s"][spec]["median"]
-                for spec, *_ in certificate_cases},
+            **{metric: {
+                spec: change["per_layer"][metric][spec]["median"]
+                / parent["per_layer"][metric][spec]["median"]
+                for spec, *_ in draw_cases[mode]} for mode, metric in draw_metrics.items()},
             "throughput_rps_pairs_won": {
                 w: sum(c["throughput_rps"] > p["throughput_rps"]
                        for c, p in zip(runs["change"][w], runs["parent"][w]))
