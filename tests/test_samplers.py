@@ -304,6 +304,12 @@ def test_chain_state_indices_requires_table():
         chain_state_indices(target, 1, 10, np.random.default_rng(77))
 
 
+def test_chain_state_indices_refuses_negative_steps():
+    target = unit_target(Hypercube(3), seed=76)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        chain_state_indices(target, -1, 10, np.random.default_rng(77))
+
+
 # ------------------------------------------------------------------ balance
 
 def test_empirical_detailed_balance():
@@ -760,10 +766,10 @@ def test_refusal_comes_before_any_proposal(monkeypatch, tabled):
 
 # ------------------------------- approximate draws: CFTP runs cut off at T
 
-def scanned_run_ends(bids_hit, steps):
+def scanned_run_ends(hits, steps):
     """Run ends by a scan over the pool, one position at a time."""
     ends, length = [], 0
-    for position, hit in enumerate(bids_hit):
+    for position, hit in enumerate(hits):
         length += 1
         if hit or (steps is not None and length == steps + 1):
             ends.append(position)

@@ -9,7 +9,7 @@ files, hashed with SHA-256; training traces drop their wall-time column.
 With ``--parent DIR`` both checkouts run and the artifacts whose digests
 differ are listed; the exit status is 1 if any do.
 
-    python3 tools/artifact_digests.py --parent ../parent
+    python3 tools/artifact_digests.py --parent ../parent --work ../digests
 """
 
 from __future__ import annotations

@@ -276,7 +276,8 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     sides = [("change", ROOT)] + ([("parent", args.parent.resolve())] if args.parent else [])
     seeds = list(range(1, REPEATS + 1))
-    states = {name: _git_state(repo) for name, repo in sides}  # what the runs measure
+    # the commits the runs measure: edits made while they run are not measured
+    states = {name: _git_state(repo) for name, repo in sides}
 
     runs = {name: {w: [] for w in workloads} for name, _ in sides}
     for w in workloads:
