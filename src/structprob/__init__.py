@@ -47,7 +47,6 @@ from .oracle import (
 )
 from .partition import (
     CoolingSchedule,
-    GradientEstimate,
     PartitionEstimate,
     RatioEstimate,
     boost_by_median,
@@ -78,7 +77,6 @@ from .spaces import (
     RootedTree,
     Structure,
     Subtrees,
-    read_edge_list,
     read_tree_file,
     space_from_descriptor,
     structure_from_json,

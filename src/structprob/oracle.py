@@ -4,12 +4,15 @@ Everything here works by exhaustive enumeration at desk scale: exact log
 partition values, exact gradients and distributions, an exact MAP argmax,
 and a graph-Hamiltonicity decision driven entirely by a partition-value
 threshold over the cycle space.  These are the oracles the samplers and
-estimators are validated against.  Each one reads the target's full score
-table (``GibbsTarget.full_table``): scores Psi_n v over the space's label
-matrix, cached for small spaces and built afresh up to the enumeration cap.
-They share no code with the estimation paths they check beyond that table
-and its expectation map, which the tests check against per-structure joint
-features.
+estimators are validated against.  Each one scores the space's label table
+(``OutputSpace.labels()``, cached for small spaces and built afresh up to the
+enumeration cap) with the target's ``label_weights``, through
+``_label_scores``.  They share no code with the estimation paths they check
+beyond that table and the target's expectation map, which the tests check
+against per-structure joint features.
+
+scipy, whose import dominates ``import structprob``, is imported by the
+functions that use it.
 """
 
 from __future__ import annotations
@@ -20,36 +23,34 @@ from functools import cached_property
 from math import factorial, log
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InsufficientSamples
 from .model import Params
 from .samplers import GibbsTarget
-from .spaces import (
-    ENUMERATION_CAP,
-    CyclicPermutations,
-    Structure,
-    _pair_index,
-)
+from .spaces import CyclicPermutations, LabelTable, Structure, _pair_index
 
 
-def _beta_scores(target: GibbsTarget, cap: int):
-    """(full score table, beta-scaled scores) over the whole space."""
-    table = target.full_table(cap)
-    return table, target.beta * table.scores
+def _label_scores(target: GibbsTarget) -> tuple[LabelTable, np.ndarray]:
+    """(label table, beta-free score of each row) over the whole space."""
+    labels = target.space.labels()
+    return labels, labels.features @ target.label_weights
 
 
-def exact_partition(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> float:
+def exact_partition(target: GibbsTarget) -> float:
     """ln Z: log-sum-exp of beta*score(y) over the whole space."""
-    _, scores = _beta_scores(target, cap)
-    return float(logsumexp(scores))
+    from scipy.special import logsumexp
+
+    return float(logsumexp(target.beta * _label_scores(target)[1]))
 
 
-def exact_gradient(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def exact_gradient(target: GibbsTarget) -> np.ndarray:
     """Gradient of ln Z: the probability-weighted mean of joint features."""
-    table, scores = _beta_scores(target, cap)
+    from scipy.special import logsumexp
+
+    labels, scores = _label_scores(target)
+    scores = target.beta * scores
     probs = np.exp(scores - logsumexp(scores))
-    return target.expected_features(probs, table.labels.features)
+    return target.expected_features(probs, labels.features)
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,21 @@ class ExactDistribution:
         return {y.payload: i for i, y in enumerate(self.support)}
 
 
-def exact_distribution(
-    target: GibbsTarget, cap: int = ENUMERATION_CAP
-) -> ExactDistribution:
-    table, scores = _beta_scores(target, cap)
+def exact_distribution(target: GibbsTarget) -> ExactDistribution:
+    from scipy.special import logsumexp
+
+    labels, scores = _label_scores(target)
+    scores = target.beta * scores
     log_z = float(logsumexp(scores))
-    return ExactDistribution(table.labels.structures, np.exp(scores - log_z), log_z)
+    support = tuple(target.space.structures(labels.payloads))
+    return ExactDistribution(support, np.exp(scores - log_z), log_z)
 
 
-def exact_argmax(target: GibbsTarget, cap: int = ENUMERATION_CAP) -> Structure:
+def exact_argmax(target: GibbsTarget) -> Structure:
     """Highest-scoring structure; ties go to the first in canonical order."""
-    table, scores = _beta_scores(target, cap)
-    best = int(np.argmax(scores))
-    return target.space.structures(table.labels.payloads[best:best + 1])[0]
+    labels, scores = _label_scores(target)
+    best = int(np.argmax(target.beta * scores))
+    return target.space.structures(labels.payloads[best:best + 1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +188,7 @@ def chi_square_gof(
     statistic.  Raises InsufficientSamples when the sample list is empty,
     contains structures outside the support, or is too small to pool.
     """
-    from scipy import stats  # imported here: it dominates ``import structprob``
+    from scipy import stats
 
     if not 0 < significance < 1:
         raise ValueError("significance must be in (0, 1)")
@@ -214,7 +217,7 @@ def chi_square_two_sample(
     samples_a, samples_b, significance: float = 0.01
 ) -> GofResult:
     """Pearson homogeneity test that two sample sets share one distribution."""
-    from scipy import stats  # imported here: it dominates ``import structprob``
+    from scipy import stats
 
     samples_a, samples_b = list(samples_a), list(samples_b)
     if not samples_a or not samples_b:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import InvalidEpsilon, TooFewRuns
 from .model import FEATURE_NORM_BOUND, ln_count
+from .oracle import _label_scores
 from .samplers import (
     GibbsTarget,
     _approx_batch_indices,
@@ -38,7 +39,6 @@ from .samplers import (
     _logsumexp,
     sample_exact_cftp,  # unused here; the benchmark tracer patches this name
 )
-from .spaces import ENUMERATION_CAP
 from .streams import require_rng
 
 EXACT = "exact"
@@ -55,7 +55,6 @@ class CoolingSchedule:
 
     betas: tuple[float, ...]
     p: int
-    q: float
 
     def __post_init__(self):
         if self.p < 3:
@@ -81,7 +80,7 @@ def build_schedule(R: float, theta_norm: float, p: int = 3) -> CoolingSchedule:
     """
     q, n = _grid(R, theta_norm, p)
     betas = (0.0,) + tuple(j / q for j in range(1, n + 1)) + (1.0,)
-    return CoolingSchedule(betas, p, max(q, 0.0))
+    return CoolingSchedule(betas, p)
 
 
 def _grid(R: float, theta_norm: float, p: int) -> tuple[float, int]:
@@ -140,7 +139,6 @@ class RatioEstimate:
     index: int
     mean: float
     sample_size: int
-    sampler_mode: str
 
     def to_json(self) -> dict:
         return {"i": self.index, "mean": self.mean, "S": self.sample_size}
@@ -199,7 +197,7 @@ def estimate_ratio(
     b_prev, b_cur = schedule.betas[i - 1], schedule.betas[i]
     _, scores = _draws(target.at_beta(b_cur), S, mode, rng, eps_tv)
     values = np.exp((b_prev - b_cur) * scores)
-    return RatioEstimate(i, float(values.mean()), S, mode)
+    return RatioEstimate(i, float(values.mean()), S)
 
 
 def check_partition_work(
@@ -303,15 +301,6 @@ def boost_by_median(runs, delta: float) -> PartitionEstimate:
     )
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
-    """Sample-mean estimate of the log-partition gradient E[phi]."""
-
-    d: np.ndarray
-    sample_size: int
-    sampler_mode: str
-
-
 def hoeffding_sample_size(R: float, G: float, epsilon: float, delta: float) -> int:
     """Draws sufficient for |<grad - estimate, z>| <= eps w.p. >= 1 - delta,
     uniformly over directions z with ||z|| <= G.
@@ -335,16 +324,16 @@ def estimate_gradient(
     mode: str = EXACT,
     rng: np.random.Generator = None,
     eps_tv: Optional[float] = None,
-) -> GradientEstimate:
-    """Mean of joint features over S draws from pi_beta."""
+) -> np.ndarray:
+    """Mean of joint features over S draws from pi_beta, an estimate of the
+    log-partition gradient E[phi]."""
     if S < 1:
         raise ValueError("S must be >= 1")
     if mode == APPROXIMATE and eps_tv is None:
         raise ValueError("approximate mode needs a total-variation budget")
     require_rng(rng, "estimate_gradient")
     keys, _ = _draws(target, S, mode, rng, eps_tv)
-    d = target.expected_features(np.full(S, 1.0 / S), target.label_rows(keys))
-    return GradientEstimate(d=d, sample_size=S, sampler_mode=mode)
+    return target.expected_features(np.full(S, 1.0 / S), target.label_rows(keys))
 
 
 def _draws(target, S, mode, rng, eps_tv):
@@ -356,17 +345,14 @@ def _draws(target, S, mode, rng, eps_tv):
 
 
 def oracle_ratio_moments(
-    schedule: CoolingSchedule,
-    i: int,
-    target: GibbsTarget,
-    cap: int = ENUMERATION_CAP,
+    schedule: CoolingSchedule, i: int, target: GibbsTarget
 ) -> tuple[float, float]:
     """(E f_i, Var f_i / (E f_i)^2) by full enumeration, no sampling.
 
     The expectation equals the true ratio Z(b_{i-1} theta) / Z(b_i theta);
     the second entry is the relative variance the sample sizes rely on.
     """
-    b_prev, b_cur, scores = _oracle_ratio_scores(schedule, i, target, cap)
+    b_prev, b_cur, scores = _oracle_ratio_scores(schedule, i, target)
     log_w = b_cur * scores
     probs = np.exp(log_w - _logsumexp(log_w))
     f = np.exp((b_prev - b_cur) * scores)
@@ -376,23 +362,20 @@ def oracle_ratio_moments(
 
 
 def oracle_ratio_range(
-    schedule: CoolingSchedule,
-    i: int,
-    target: GibbsTarget,
-    cap: int = ENUMERATION_CAP,
+    schedule: CoolingSchedule, i: int, target: GibbsTarget
 ) -> tuple[float, float]:
     """(min f_i, max f_i) over the whole space, by full enumeration.
 
     The schedule's gap rule confines both to [exp(-1/p), exp(1/p)].
     """
-    b_prev, b_cur, scores = _oracle_ratio_scores(schedule, i, target, cap)
+    b_prev, b_cur, scores = _oracle_ratio_scores(schedule, i, target)
     f = np.exp((b_prev - b_cur) * scores)
     return float(f.min()), float(f.max())
 
 
-def _oracle_ratio_scores(schedule, i, target, cap):
-    """(b_{i-1}, b_i, score of every structure) for ratio i."""
+def _oracle_ratio_scores(schedule, i, target):
+    """(b_{i-1}, b_i, beta-free score of every structure) for ratio i."""
     if not 1 <= i <= schedule.l:
         raise ValueError(f"ratio index {i} outside 1..{schedule.l}")
-    return schedule.betas[i - 1], schedule.betas[i], target.full_table(cap).scores
+    return schedule.betas[i - 1], schedule.betas[i], _label_scores(target)[1]
 

@@ -4,8 +4,8 @@ The target density is pi_beta(y) proportional to exp(beta * <phi(x, y), theta>).
 The Metropolis chain here proposes a fresh uniform structure each step and
 accepts with probability min(1, pi(z)/pi(y)).  Every score lies below a
 beta-free ceiling s_max (``GibbsTarget.score_ceiling``): the largest score of
-the table on a tabled target, else the worst case B*R.  So one step moves
-anywhere with probability at least
+the table on a tabled target, else the worst case B*R raised by a bound on
+rounding.  So one step moves anywhere with probability at least
 
     delta_beta = E_{z uniform} exp(beta * (score(z) - s_max)),
 
@@ -64,7 +64,7 @@ from .model import (
     joint_features,
     score,
 )
-from .spaces import ENUMERATION_CAP, LabelTable, OutputSpace, Structure
+from .spaces import OutputSpace, Structure
 
 # Sampler work expected to exceed this many proposals (or chain steps) is
 # refused before its first draw: that is about ten seconds of work on a
@@ -79,25 +79,13 @@ _LN2 = log(2.0)
 
 
 @dataclass(frozen=True)
-class ScoreTable:
-    """A space's label table with beta-free scores.
-
-    ``labels`` is shared when the space caches it; only ``scores`` belongs
-    to the target.  ``scores[k]`` is the score of the structure behind row k
-    of ``labels``, and a row index is a proposal key.
-    """
-
-    labels: LabelTable
-    scores: np.ndarray  # <phi(x, y), theta> per row
-
-
-@dataclass(frozen=True)
 class GibbsTarget:
     """A space, parameters and inverse temperature defining pi_beta.
 
-    ``x`` of None selects the label-only feature map.  ``beta`` must be
-    finite and non-negative; values in [0, 1] are the cooling-schedule
-    regime, and ``sample --beta`` accepts larger ones.
+    ``x`` of None selects the label-only feature map, stored as the input
+    ``np.ones(1)``: the joint map of that input is the label-only map.
+    ``beta`` must be finite and non-negative; values in [0, 1] are the
+    cooling-schedule regime, and ``sample --beta`` accepts larger ones.
     """
 
     space: OutputSpace
@@ -108,9 +96,9 @@ class GibbsTarget:
     def __post_init__(self):
         if not 0 <= self.beta < inf:
             raise ValueError("beta must be finite and non-negative")
-        if self.x is not None:
-            object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        expected = self.space.feature_dim * (1 if self.x is None else self.x.size)
+        x = np.ones(1) if self.x is None else np.asarray(self.x, dtype=float)
+        object.__setattr__(self, "x", x)
+        expected = self.space.feature_dim * x.size
         if self.params.theta.size != expected:
             raise DimensionMismatch(
                 f"theta has {self.params.theta.size} entries, "
@@ -128,18 +116,22 @@ class GibbsTarget:
 
     @cached_property
     def score_ceiling(self) -> float:
-        """s_max, a beta-free upper bound on the score of every structure:
-        the table's largest score clamped to B*R, or B*R untabled."""
-        table = self.table
-        if table is None:
-            return self.score_bound
-        return min(float(table.scores.max()), self.score_bound)
+        """s_max, a beta-free upper bound on every score the samplers compute.
+
+        On a tabled target it is the table's largest score, the very floats
+        the certificate compares.  Untabled, it is B*R raised by a bound on
+        the rounding in a computed score: the norms and dot products behind
+        it sum at most theta.size + x.size + d_Y terms, each adding at most
+        2^-52 of B*R.
+        """
+        if self.table is not None:
+            return float(self.table.max())
+        terms = self.params.theta.size + self.x.size + self.space.feature_dim
+        return self.score_bound * (1.0 + terms * 2.0**-52)
 
     @cached_property
-    def unit_input(self) -> Optional[np.ndarray]:
-        """x / ||x||, or None for the label-only feature map."""
-        if self.x is None:
-            return None
+    def unit_input(self) -> np.ndarray:
+        """x / ||x||."""
         x = self.x.reshape(-1)
         x_norm = float(np.linalg.norm(x))
         if x_norm == 0.0:
@@ -154,24 +146,14 @@ class GibbsTarget:
         (|x|, d_Y) matrix v = Theta^T x/||x|| (v = theta in label-only mode).
         """
         x = self.unit_input
-        v = self.params.theta
-        if x is not None:
-            v = x @ v.reshape(x.size, -1)
-        return v
+        return x @ self.params.theta.reshape(x.size, -1)
 
     @cached_property
-    def table(self) -> Optional[ScoreTable]:
-        """Scores of every structure, from the space's shared label table."""
+    def table(self) -> Optional[np.ndarray]:
+        """The beta-free score of every row of ``space.label_table``, or None
+        above TABLE_CAP; a row index is a proposal key."""
         labels = self.space.label_table
-        return None if labels is None else self._scored(labels)
-
-    def full_table(self, cap: int = ENUMERATION_CAP) -> ScoreTable:
-        """The score table, else one scored from a fresh ``space.labels(cap)``."""
-        table = self.table
-        return self._scored(self.space.labels(cap)) if table is None else table
-
-    def _scored(self, labels: LabelTable) -> ScoreTable:
-        return ScoreTable(labels, labels.features @ self.label_weights)
+        return None if labels is None else labels.features @ self.label_weights
 
     def propose(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n uniform proposals as (keys, beta-free scores).
@@ -185,20 +167,22 @@ class GibbsTarget:
         """
         table = self.table
         if table is not None:
-            keys = rng.integers(0, len(table.scores), n)
-            return keys, table.scores[keys]
+            keys = rng.integers(0, len(table), n)
+            return keys, table[keys]
         keys = self.space.sample_uniform(rng, n)
         return keys, self.space.label_rows(keys) @ self.label_weights
 
     def structures(self, keys: np.ndarray) -> list[Structure]:
         """The structures behind proposal keys, built from their payload rows."""
-        table = self.table
-        return self.space.structures(keys if table is None else table.labels.payloads[keys])
+        if self.table is not None:
+            keys = self.space.label_table.payloads[keys]
+        return self.space.structures(keys)
 
     def label_rows(self, keys: np.ndarray) -> np.ndarray:
         """psi_n = psi / max||psi|| of the structure behind each key, one row each."""
-        table = self.table
-        return self.space.label_rows(keys) if table is None else table.labels.features[keys]
+        if self.table is None:
+            return self.space.label_rows(keys)
+        return self.space.label_table.features[keys]
 
     def expected_features(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """E[phi] under ``probs``, a distribution over label rows psi_n.
@@ -206,11 +190,7 @@ class GibbsTarget:
         By bilinearity E[phi] = x/||x|| (x) (rows^T probs); no joint feature
         vector is formed.
         """
-        psi_mean = rows.T @ probs
-        x = self.unit_input
-        if x is None:
-            return psi_mean
-        return np.outer(x, psi_mean).reshape(-1)
+        return np.outer(self.unit_input, rows.T @ probs).reshape(-1)
 
     @cached_property
     def log_rounds_per_certificate(self) -> float:
@@ -218,28 +198,29 @@ class GibbsTarget:
         probability that a uniform proposal certifies.
 
         Exact, and at most ln|Y|, on a tabled target; otherwise the bound
-        2*beta*B*R.  Infinite when beta*B*R is not finite, without scoring
-        the table.
+        2*beta*s_max, with s_max just above B*R.  Infinite when beta*B*R is
+        not finite, without scoring the table.
         """
-        bound = self.beta * self.score_bound
-        if not isfinite(bound):
+        if not isfinite(self.beta * self.score_bound):
             return inf
         if self.table is None:
-            return 2.0 * bound
-        w = self.beta * (self.table.scores - self.score_ceiling)
+            return 2.0 * self.beta * self.score_ceiling
+        w = self.beta * (self.table - self.score_ceiling)
         return log(len(w)) - _logsumexp(w)
 
-    def mixing_steps(self, eps_tv: float) -> int:
+    def mixing_steps(self, eps_tv: float) -> int | float:
         """Chain steps within eps_tv total variation of pi_beta, from any start.
 
         ceil(ln(1/eps_tv) / -ln(1 - delta_beta)): every step moves to a
         pi_beta draw with probability at least delta_beta, the certificate's
         firing probability (Liu 1996).  Exact on a tabled target; untabled,
         delta_beta is bounded by exp(-2*beta*B*R), the paper's bound at
-        budget beta*B.
+        budget beta*B.  Not refused here, however large: a draw costs at
+        most its certificate depth, so the samplers price
+        min(1/delta_beta, steps + 1) proposals.  inf where the count
+        overflows a float, which needs a 1/delta_beta above 1e300.
         """
-        return _doeblin_steps(self.log_rounds_per_certificate, eps_tv,
-                              f"the mixing bound at {_ceiling_text(self)} is")
+        return _doeblin_steps(self.log_rounds_per_certificate, eps_tv)[0]
 
     def at_beta(self, beta: float) -> "GibbsTarget":
         """Same space and parameters at a different inverse temperature."""
@@ -265,31 +246,33 @@ def mixing_time_bound(B: float, R: float, eps_tv: float) -> int:
     sample.  Raises EpochBudgetExhausted when the bound exceeds
     MAX_EXPECTED_PROPOSALS.
     """
-    return _doeblin_steps(2.0 * B * R, eps_tv, f"the mixing bound at B*R = {B * R:.6g} is")
+    steps, log_steps = _doeblin_steps(2.0 * B * R, eps_tv)
+    _check_work(log_steps, f"the mixing bound at B*R = {B * R:.6g} is", "steps")
+    return steps
 
 
-def _doeblin_steps(a: float, eps_tv: float, what: str) -> int:
-    """ceil(ln(1/eps_tv) / -ln(1 - e^-a)): steps of a chain that moves to an
-    exact draw with probability at least delta = e^-a per step.
+def _doeblin_steps(a: float, eps_tv: float) -> tuple[int | float, float]:
+    """(ceil(ln(1/eps_tv) / -ln(1 - e^-a)), its natural log): steps of a
+    chain that moves to an exact draw with probability at least
+    delta = e^-a per step.
 
     0 steps for eps_tv = 1 and one for a <= 0.  For a > ln 2 the
     denominator is evaluated as -log1p(-exp(-a)), which stays positive long
-    after 1 - exp(-a) rounds to 1.  Raises EpochBudgetExhausted, with
-    ``what`` naming the bound, when it exceeds MAX_EXPECTED_PROPOSALS.
+    after 1 - exp(-a) rounds to 1.  The count is inf where it overflows a
+    float; its log stays finite.
     """
     if not 0 < eps_tv <= 1:
         raise ValueError("eps_tv must be in (0, 1]")
     if eps_tv == 1:
-        return 0
+        return 0, -inf
     if a <= 0.0:
-        return 1
+        return 1, 0.0
     # -ln(1 - e^-a) without cancellation at either end (Maechler's log1mexp)
     denom = -(log(-expm1(-a)) if a <= _LN2 else log1p(-exp(-a)))
-    # the log of the bound stays finite where the bound itself would not;
     # -ln(1 - e^-a) tends to e^-a, which is what an underflowed denom means
     log_steps = log(log(1.0 / eps_tv)) - (log(denom) if denom > 0.0 else -a)
-    _check_work(log_steps, what, "steps")
-    return ceil(log(1.0 / eps_tv) / denom)
+    steps = log(1.0 / eps_tv) / denom if denom > 0.0 else inf
+    return (ceil(steps) if steps < inf else inf), log_steps
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -359,8 +342,9 @@ def _run_ends(hit: np.ndarray, drawn: int, steps: Optional[int]) -> np.ndarray:
     certificates at ``hit`` completes, each run ending at its first
     certificate or, given ``steps``, after steps + 1 positions: each stretch
     up to a hit holds runs cut off every steps + 1 positions, then the run
-    that ends at the hit."""
-    if steps is None:
+    that ends at the hit.  No run is cut off when steps + 1 exceeds the
+    pool, however large ``steps`` is."""
+    if steps is None or steps >= drawn:
         return hit
     cap = steps + 1
     start = np.concatenate(([0], hit + 1))  # where each stretch begins
@@ -423,7 +407,7 @@ def _cftp_batch_indices(target, n, rng, steps=None, start=None):
         cut = np.flatnonzero(depths == steps + 1)
         state[cut] = len(z) + cut
         z = np.concatenate((z, start))
-        s_z = np.concatenate((s_z, target.table.scores[start]))
+        s_z = np.concatenate((s_z, target.table[start]))
     order = np.argsort(-depths)  # deepest first
     ends, state = ends[order], state[order]
     level = target.beta * s_z

@@ -28,15 +28,14 @@ which callers build only for the draws they return.
 
 ``enumerate_payloads`` lists every structure as a payload matrix in the
 sorted order of ``enumerate``: the cycles' rows start at their smallest
-vertex and step to its smaller neighbour.  ``OutputSpace.labels`` turns that
-matrix into the label table with one ``label_rows`` call: every structure's
-payload row with its normalized label features, the one input of every
-exact score, expectation and training pass.  The table builds ``Structure``
-objects only when a caller asks for them.  A space with at most
-``TABLE_CAP`` structures caches the table on the instance as
+vertex and step to its smaller neighbour.  One ``label_rows`` call turns
+that matrix into the label table: every structure's payload row with its
+normalized label features, the one input of every exact score, expectation
+and training pass.  ``OutputSpace.labels()`` is its one reader: a space with
+at most ``TABLE_CAP`` structures caches the table on the instance as
 ``label_table``, so every score table over it reuses one build; larger
 spaces, up to ``ENUMERATION_CAP``, build it afresh for each exact
-computation.
+computation, and above that ``labels()`` refuses.
 
 All spaces are immutable after construction and safe to share across threads;
 every sampling operation takes an explicit ``numpy.random.Generator``.
@@ -44,7 +43,6 @@ every sampling operation takes an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -187,31 +185,6 @@ def read_tree_file(path) -> RootedTree:
     return RootedTree(tuple(int(t) for t in tokens[1:]))
 
 
-def read_edge_list(path) -> tuple[int, list[tuple[int, int]]]:
-    """Parse a graph file: one 0-indexed "u v" pair per line.
-
-    Returns (n, edges) with n = 1 + the largest vertex mentioned.  Blank
-    lines and lines starting with '#' are skipped.
-    """
-    edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            if u < 0 or v < 0 or u == v:
-                raise ValueError(f"{path}:{lineno}: bad edge ({u}, {v})")
-            edges.append((u, v) if u < v else (v, u))
-    if not edges:
-        raise ValueError(f"no edges in {path}")
-    n = 1 + max(max(e) for e in edges)
-    return n, sorted(set(edges))
-
-
 def subtree_counts(tree: RootedTree) -> tuple[int, ...]:
     """Per-vertex count g(v) of subtrees rooted at v that contain v.
 
@@ -239,18 +212,12 @@ class LabelTable:
     order.  Nothing here depends on parameters or inputs: the joint map is
     bilinear, so the score of y_k under theta and x is ``features[k] @ v``
     for one vector v folded from theta and x, and every target on the space
-    can share this table.  ``structures`` is built on first use only:
-    kernels that read row indices and scores never need it.
+    can share this table.  ``space.structures(payloads)`` builds the
+    Structure objects for the rows a caller returns.
     """
 
-    space: "OutputSpace"  # an equal copy: the space that caches the table is not kept
     payloads: np.ndarray  # read-only, one payload row per structure
     features: np.ndarray  # read-only, one row per structure
-
-    @cached_property
-    def structures(self) -> tuple[Structure, ...]:
-        """The Structure behind each row."""
-        return tuple(self.space.structures(self.payloads))
 
 
 class OutputSpace:
@@ -273,14 +240,17 @@ class OutputSpace:
         """psi(y) / max||psi|| of the structure behind each payload row."""
         raise NotImplementedError
 
-    def enumerate(self, cap: int = ENUMERATION_CAP) -> Iterator[Structure]:
-        """Yield every structure exactly once, in sorted payload order."""
+    def enumerate(self) -> Iterator[Structure]:
+        """Yield every structure exactly once, in sorted payload order.
+
+        Raises CapExceeded above ENUMERATION_CAP structures.
+        """
         raise NotImplementedError
 
-    def enumerate_payloads(self, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    def enumerate_payloads(self) -> np.ndarray:
         """Every structure as one payload row, in the order of ``enumerate``.
 
-        Raises CapExceeded above ``cap`` structures before allocating.
+        Raises CapExceeded above ENUMERATION_CAP structures before allocating.
         """
         raise NotImplementedError
 
@@ -301,32 +271,34 @@ class OutputSpace:
     def to_descriptor(self) -> dict:
         raise NotImplementedError
 
-    def labels(self, cap: int = ENUMERATION_CAP) -> LabelTable:
-        """Every structure's payload row with its label row, built afresh by
-        one ``label_rows`` call on the payload matrix.
+    def labels(self) -> LabelTable:
+        """Every structure's payload row with its label row: the cached
+        ``label_table`` up to TABLE_CAP structures, else a fresh build.
 
-        Raises CapExceeded above ``cap`` structures before allocating.
-        The table holds an equal copy of the space, so a space that caches
-        its table forms no reference cycle and is freed without the
-        garbage collector.
+        Raises CapExceeded above ENUMERATION_CAP structures before
+        allocating.
         """
-        payloads = self.enumerate_payloads(cap)
-        features = self.label_rows(payloads)
-        payloads.setflags(write=False)
-        features.setflags(write=False)
-        return LabelTable(dataclasses.replace(self), payloads, features)
+        table = self.label_table
+        return self._build_labels() if table is None else table
 
     @cached_property
     def label_table(self) -> Optional[LabelTable]:
-        """``labels()`` cached on the instance, or None above TABLE_CAP."""
-        if self.count() > TABLE_CAP:
-            return None
-        return self.labels()
+        """The label table cached on the instance, or None above TABLE_CAP."""
+        return self._build_labels() if self.count() <= TABLE_CAP else None
 
-    def _check_cap(self, cap: int) -> None:
-        if self.count() > cap:
+    def _build_labels(self) -> LabelTable:
+        """One ``label_rows`` call on the payload matrix, both read-only."""
+        payloads = self.enumerate_payloads()
+        features = self.label_rows(payloads)
+        payloads.setflags(write=False)
+        features.setflags(write=False)
+        return LabelTable(payloads, features)
+
+    def _check_cap(self) -> None:
+        if self.count() > ENUMERATION_CAP:
             raise CapExceeded(
-                f"{self.kind} space has {self.count()} structures, cap is {cap}"
+                f"{self.kind} space has {self.count()} structures, "
+                f"cap is {ENUMERATION_CAP}"
             )
 
     def _check_kind(self, y: Structure) -> None:
@@ -354,16 +326,16 @@ class Hypercube(OutputSpace):
     def label_rows(self, payloads):
         return payloads / self.max_feature_norm()
 
-    def enumerate(self, cap: int = ENUMERATION_CAP):
-        self._check_cap(cap)
+    def enumerate(self):
+        self._check_cap()
         return (
             Structure(self.kind, bits)
             for bits in itertools.product((0, 1), repeat=self.d)
         )
 
-    def enumerate_payloads(self, cap: int = ENUMERATION_CAP):
+    def enumerate_payloads(self):
         # row k holds the bits of k, most significant first
-        self._check_cap(cap)
+        self._check_cap()
         rows = np.arange(self.count())
         payloads = np.empty((len(rows), self.d), dtype=np.int8)
         for j in range(self.d):
@@ -416,15 +388,15 @@ class Permutations(OutputSpace):
         psi.reshape(-1)[cells] = 1.0 / self.max_feature_norm()
         return psi
 
-    def enumerate(self, cap: int = ENUMERATION_CAP):
-        self._check_cap(cap)
+    def enumerate(self):
+        self._check_cap()
         return (
             Structure(self.kind, perm)
             for perm in itertools.permutations(range(self.d))
         )
 
-    def enumerate_payloads(self, cap: int = ENUMERATION_CAP):
-        self._check_cap(cap)
+    def enumerate_payloads(self):
+        self._check_cap()
         row = np.dtype((np.min_scalar_type(-self.d), (self.d,)))
         return np.fromiter(itertools.permutations(range(self.d)), dtype=row,
                            count=self.count())
@@ -509,8 +481,8 @@ class Subtrees(OutputSpace):
             options.append(s)
         return options
 
-    def enumerate(self, cap: int = ENUMERATION_CAP):
-        self._check_cap(cap)
+    def enumerate(self):
+        self._check_cap()
         d = self.tree.vertex_count
         payloads = [
             tuple(1 if v in s else 0 for v in range(d)) for s in self._vertex_sets(0)
@@ -518,10 +490,10 @@ class Subtrees(OutputSpace):
         payloads.sort()
         return (Structure(self.kind, p) for p in payloads)
 
-    def enumerate_payloads(self, cap: int = ENUMERATION_CAP):
+    def enumerate_payloads(self):
         # children before parents: the subtrees at v are v alone times, for
         # each child, its branch absent or one of the child's own subtrees
-        self._check_cap(cap)
+        self._check_cap()
         d = self.tree.vertex_count
         below: dict[int, np.ndarray] = {}
         for v in self.tree.postorder:
@@ -626,8 +598,8 @@ class CyclicPermutations(OutputSpace):
         psi.reshape(-1)[cells] = 1.0 / self.max_feature_norm()
         return psi
 
-    def enumerate(self, cap: int = ENUMERATION_CAP):
-        self._check_cap(cap)
+    def enumerate(self):
+        self._check_cap()
         payloads = []
         for k in range(3, self.n + 1):
             for subset in itertools.combinations(range(self.n), k):
@@ -639,10 +611,10 @@ class CyclicPermutations(OutputSpace):
         payloads.sort()
         return (Structure(self.kind, p) for p in payloads)
 
-    def enumerate_payloads(self, cap: int = ENUMERATION_CAP):
+    def enumerate_payloads(self):
         # each cycle once, in vertex order from its smallest vertex towards
         # the smaller of that vertex's two neighbours
-        self._check_cap(cap)
+        self._check_cap()
         n = self.n
         vertex = np.min_scalar_type(-n)
         blocks = []

@@ -157,10 +157,7 @@ def _exact_data(data: Dataset, space: OutputSpace, unique=None,
             raise WrongSpace(f"label {inst.y} is not a structure of the space")
     psi = np.stack([space.output_features(inst.y) for inst in data.instances])
     psi /= space.max_feature_norm()
-    features = None
-    if enumerated:
-        labels = space.label_table
-        features = (space.labels() if labels is None else labels).features
+    features = space.labels().features if enumerated else None
     inputs, counts, groups = _unique_inputs(data) if unique is None else unique
     xs = np.stack([x.reshape(-1) for x in inputs])
     norms = np.linalg.norm(xs, axis=1)
@@ -254,7 +251,7 @@ def gradient(
     expectation = np.zeros_like(theta)
     for x, count in zip(layout.inputs, layout.counts):
         target = GibbsTarget(space, params, beta=1.0, x=x)
-        expectation += count * estimate_gradient(target, S, EXACT, rng).d
+        expectation += count * estimate_gradient(target, S, EXACT, rng)
     return 2.0 * lam * theta + (expectation - layout.observed.reshape(-1)) / layout.m
 
 

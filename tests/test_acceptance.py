@@ -141,7 +141,7 @@ def test_ac5_mixing_bound():
     space = Hypercube(3)
     target = unit_target(space, seed=5001)
     dist = exact_distribution(target)
-    worst_start = int(np.argmax(target.beta * target.table.scores))
+    worst_start = int(np.argmax(target.beta * target.table))
     n = 100_000
     details = [f"t(0.01)={mixing_time_bound(1.0, 1.0, 0.01)}"]
     ok_tv = True
@@ -192,7 +192,7 @@ def test_ac7_gradient_estimator():
         est = estimate_gradient(target, S, EXACT, np.random.default_rng(7100 + run))
         dir_rng = np.random.default_rng(7200 + run)
         violations = sum(
-            abs(float((est.d - grad) @ random_unit_theta(4, dir_rng))) > 0.05
+            abs(float((est - grad) @ random_unit_theta(4, dir_rng))) > 0.05
             for _ in range(20)
         )
         worst_violations = max(worst_violations, violations)

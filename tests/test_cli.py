@@ -35,7 +35,7 @@ from structprob import (
 )
 from structprob import cli
 from structprob.cli import main
-from structprob.samplers import GibbsTarget
+from structprob.samplers import MAX_EXPECTED_PROPOSALS, GibbsTarget
 from structprob.spaces import Hypercube
 
 
@@ -116,10 +116,11 @@ def test_uniform_draws_make_one_sampler_call_per_request(monkeypatch, capsys):
                      ("cycles", 200)]
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the import time of the package; only the
-    # chi-square tests load it
-    code = "import sys, structprob, structprob.cli; sys.exit('scipy.stats' in sys.modules)"
+def test_import_leaves_scipy_unloaded():
+    # scipy costs most of the import time of the package; only the oracles
+    # and the chi-square tests load it, when they are called
+    code = ("import sys, structprob, structprob.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -447,13 +448,27 @@ def test_partition_config_switch_must_be_boolean(tmp_path):
 
 
 def test_approx_sampler_refuses_an_unrunnable_mixing_bound(capsys):
-    # untabled, the mixing bound is priced at 2*beta*B*R = 60
+    # untabled, a draw is priced at min(1/delta_beta, steps + 1) with
+    # 1/delta_beta = exp(2*beta*B*R) = exp(60), for 10 draws
     code = run([
         "sample", "--space", "hypercube:13", "--theta-random", "30",
         "--norm-budget", "30", "--sampler", "approx", "--seed", "1",
     ])
     assert code == 3
-    assert "steps" in capsys.readouterr().err
+    assert re.search(r"approximate draws of \d+ steps each at beta\*B\*R = 30 expect about "
+                     r"1\.1e\+27 proposals", capsys.readouterr().err)
+
+
+def test_approx_sampler_runs_a_mixing_bound_above_the_limit(capsys):
+    # the chain needs about 1.4e7 steps, but a draw stops at its certificate,
+    # which is priced at exp(2*beta*B*R) = 2.0e6 proposals: no dearer than CFTP
+    args = ["sample", "--space", "hypercube:13", "--theta-random", "0.5",
+            "--norm-budget", "7.25", "--lambda", "0.1", "--eps-tv", "0.001",
+            "--n", "1", "--seed", "1", "--sampler"]
+    for sampler in ("cftp", "approx"):
+        assert run(args + [sampler]) == 0
+    cftp, approx = capsys.readouterr().out.splitlines()
+    assert json.loads(approx)["steps"] > MAX_EXPECTED_PROPOSALS
 
 
 def test_train_and_predict_round_trip(tmp_path, capsys):

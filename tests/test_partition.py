@@ -326,8 +326,8 @@ def test_estimate_gradient_uniform_target():
     est = estimate_gradient(target, S, EXACT, np.random.default_rng(106))
     # uniform expectation of psi is (1/2, 1/2); features divide by sqrt(2)
     expected = np.array([0.5, 0.5]) / np.sqrt(2.0)
-    assert np.all(np.abs(est.d - expected) <= 0.05)
-    assert np.linalg.norm(est.d) <= 1.0 + 1e-12
+    assert np.all(np.abs(est - expected) <= 0.05)
+    assert np.linalg.norm(est) <= 1.0 + 1e-12
 
 
 def test_estimate_gradient_matches_oracle_directions():
@@ -340,7 +340,7 @@ def test_estimate_gradient_matches_oracle_directions():
     violations = 0
     for _ in range(20):
         z = random_unit_theta(4, rng)
-        violations += abs(float((est.d - grad) @ z)) > 0.05
+        violations += abs(float((est - grad) @ z)) > 0.05
     assert violations <= 1
 
 
@@ -351,7 +351,7 @@ def test_estimate_gradient_approximate_mode():
     est = estimate_gradient(
         target, 5000, APPROXIMATE, np.random.default_rng(111), eps_tv=0.001
     )
-    assert np.linalg.norm(est.d - grad) <= 0.1
+    assert np.linalg.norm(est - grad) <= 0.1
     with pytest.raises(ValueError):
         estimate_gradient(target, 10, APPROXIMATE, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -372,7 +372,7 @@ def test_estimate_gradient_untabled_within_hoeffding_error(mode):
     violations = 0
     for _ in range(20):
         z = random_unit_theta(4, rng)
-        violations += abs(float((est.d - grad) @ z)) > 0.05
+        violations += abs(float((est - grad) @ z)) > 0.05
     assert violations <= 1
 
 

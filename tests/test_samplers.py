@@ -35,6 +35,8 @@ from structprob.samplers import (
     expected_proposals,
 )
 
+from structprob.oracle import _label_scores
+
 from helpers import empirical_tv, multinomial_tv_noise
 
 
@@ -66,7 +68,7 @@ def test_one_step_always_accepts_uphill():
     # step always moves to the proposal: outputs are exactly uniform
     space = Hypercube(4)
     target = unit_target(space, seed=42)
-    lowest = int(np.argmin(target.table.scores))
+    lowest = int(np.argmin(target.table))
     uniform = exact_distribution(target.at_beta(0.0))
     outputs = one_step(target, lowest, 50_000, seed=43)
     assert chi_square_gof(outputs, uniform, 0.01).passed
@@ -77,7 +79,7 @@ def test_acceptance_floor():
     space = Hypercube(6)
     for beta in (0.25, 1.0):
         target = unit_target(space, seed=44, norm=1.0, beta=beta)
-        w = beta * target.table.scores
+        w = beta * target.table
         ratios = np.exp(w[None, :] - w[:, None])
         acceptance = np.minimum(1.0, ratios)
         floor = exp(-2.0 * beta * target.score_bound)
@@ -347,7 +349,7 @@ def test_argmax_state_is_sticky_at_high_beta():
     space = Hypercube(4)
     target = unit_target(space, seed=80, beta=1.0)
     best = exact_argmax(target)
-    start = target.table.labels.structures.index(best)
+    start = space.structures(space.label_table.payloads).index(best)
     stays = sum(y == best for y in one_step(target.at_beta(8.0), start, 500, seed=81))
     assert stays >= 400
 
@@ -487,7 +489,7 @@ def metropolis_laws(scores, beta, starts, at):
 def test_metropolis_laws_match_the_dense_transition_matrix():
     # ties (the all-ones direction) and distinct scores, at a high beta
     for theta in (np.ones(6), random_unit_theta(6, np.random.default_rng(120), 2.0)):
-        scores = GibbsTarget(Hypercube(6), Params(theta), beta=1.0).table.scores
+        scores = GibbsTarget(Hypercube(6), Params(theta), beta=1.0).table
         beta, n = 3.0, len(scores)
         move = np.minimum(1.0, np.exp(beta * (scores[None, :] - scores[:, None]))) / n
         np.fill_diagonal(move, 0.0)
@@ -533,24 +535,27 @@ def test_tabled_mixing_steps_reach_their_tv_budget(space):
             for beta in BETAS:
                 target = GibbsTarget(space, Params(norm * u, norm_budget=norm), beta=beta)
                 assert target.table is not None
-                worst = max(worst, worst_tv_over_budget(target, target.table.scores))
+                worst = max(worst, worst_tv_over_budget(target, target.table))
     assert worst <= 1.0
 
 
 @pytest.mark.parametrize("space", [Hypercube(8), Permutations(4), CyclicPermutations(5)],
                          ids=lambda s: s.kind)
 def test_untabled_mixing_steps_reach_their_tv_budget(space):
-    # untabled, the bound reads 2*beta*B*R; past the limit it is refused
+    # untabled, the bound reads 2*beta*B*R; past the limit the sampler
+    # refuses a draw at its price, min(1/delta_beta, steps + 1) proposals
+    rng = np.random.default_rng(122)
     for u in unit_directions(space):
         for norm in (1.0, 3.0):
             for beta in BETAS:
                 target = untabled(GibbsTarget(space, Params(norm * u, norm_budget=norm),
                                               beta=beta))
                 if log(log(1.0 / min(EPS_TVS))) + 2.0 * beta * norm > log(MAX_EXPECTED_PROPOSALS):
-                    with pytest.raises(EpochBudgetExhausted, match="steps"):
-                        target.mixing_steps(min(EPS_TVS))
+                    assert target.mixing_steps(min(EPS_TVS)) > MAX_EXPECTED_PROPOSALS
+                    with pytest.raises(EpochBudgetExhausted, match="1 approximate draws"):
+                        _approx_batch_indices(target, min(EPS_TVS), 1, rng)
                     continue
-                assert worst_tv_over_budget(target, target.full_table().scores) <= 1.0
+                assert worst_tv_over_budget(target, _label_scores(target)[1]) <= 1.0
 
 
 def _lam_inflated(space, seed):
@@ -596,6 +601,28 @@ def test_tabled_requests_over_the_limit_are_still_refused():
                            match=r"beta\*s_max = [\d.]+ expects about 5\.3e\+07 proposals"):
             sampler(target, n, rng)
     assert rng.bit_generator.state == state  # refused before any draw
+
+
+@pytest.mark.parametrize("x", [None, np.array([0.6, -0.8, 2.0])], ids=["label-only", "input"])
+def test_the_ceiling_is_at_least_every_computed_score(x):
+    # theta = c x/||x|| (x) ones/sqrt(d) at norm budget ||theta||: the
+    # all-ones structure scores B*R up to rounding, and for a quarter to a
+    # third of these c its computed score rounds above the computed B*R.  A
+    # ceiling below a score lets the certificate a >= beta*s_max fire for a
+    # state whose own threshold beta*s(y) is higher.
+    u = np.ones(1) if x is None else x / np.linalg.norm(x)
+    for d in (2, 3, 5, 8, 12, 13):
+        space = Hypercube(d)
+        ones = np.ones((1, d), dtype=np.int8)
+        for c in np.linspace(0.1, 3.0, 60):
+            theta = c * np.outer(u, np.full(d, 1.0 / np.sqrt(d))).reshape(-1)
+            target = GibbsTarget(space, Params(theta, norm_budget=np.linalg.norm(theta)),
+                                 x=x)
+            if target.table is not None:  # the very scores the kernels compare
+                assert target.score_ceiling == target.table.max()
+            else:  # the all-ones proposal's score, as ``propose`` computes it
+                top = space.label_rows(ones) @ target.label_weights
+                assert top[0] <= target.score_ceiling
 
 
 # ------------------------------------------ one proposal pool per search
@@ -799,7 +826,7 @@ def test_cut_off_runs_follow_the_exact_chain_law(which):
     # at every T, from the uniform start and from the stickiest state, the
     # draws follow the law of the T-step chain (family-wise level 0.01)
     target = law_targets()[which]
-    scores = target.table.scores
+    scores = target.table
     k = len(scores)
     mean_depth = exp(target.log_rounds_per_certificate)
     steps = sorted({0, 1, 2, 3, 7, round(2 * mean_depth), round(6 * mean_depth)})

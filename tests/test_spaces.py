@@ -14,7 +14,6 @@ from structprob import (
     WrongSpace,
     chi_square_gof,
     exact_distribution,
-    read_edge_list,
     read_tree_file,
     space_from_descriptor,
     structure_from_json,
@@ -133,7 +132,7 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         Hypercube(30).enumerate()
     with pytest.raises(CapExceeded):
-        Permutations(4).enumerate(cap=10)
+        Permutations(10).labels()
 
 
 # ----------------------------------------------------------------- sampling
@@ -361,22 +360,6 @@ def test_read_tree_file(tmp_path):
     bad.write_text("3\n0 0\n")
     with pytest.raises(ValueError):
         read_tree_file(bad)
-
-
-def test_read_edge_list(tmp_path):
-    path = tmp_path / "graph.txt"
-    path.write_text("# toy graph\n0 1\n2 1\n\n0 2\n")
-    n, edges = read_edge_list(path)
-    assert n == 3
-    assert edges == [(0, 1), (0, 2), (1, 2)]
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0 0\n")
-    with pytest.raises(ValueError):
-        read_edge_list(bad)
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# nothing\n")
-    with pytest.raises(ValueError):
-        read_edge_list(empty)
 
 
 def test_descriptor_round_trip():

@@ -219,7 +219,7 @@ def test_target_table_scores_and_expectation_match_joint_features():
     theta = random_unit_theta(X_DIM * space.feature_dim, rng, norm=2.0)
     target = GibbsTarget(space, Params(theta), beta=1.0, x=x)
     feats = np.stack([joint_features(x, y, space) for y in space.enumerate()])
-    np.testing.assert_allclose(target.table.scores, feats @ theta, rtol=1e-12)
+    np.testing.assert_allclose(target.table, feats @ theta, rtol=1e-12)
     probs = np.exp(feats @ theta - logsumexp(feats @ theta))
     np.testing.assert_allclose(exact_gradient(target), feats.T @ probs, rtol=1e-12)
 
@@ -241,12 +241,12 @@ def test_space_is_enumerated_once_across_targets(monkeypatch):
         dim = space.feature_dim * (1 if x is None else 2)
         theta = random_unit_theta(dim, rng, norm=0.5 + 0.2 * k)
         target = GibbsTarget(space, Params(theta), beta=0.25 * k, x=x)
-        assert target.table.labels.features is features
+        assert space.label_table.features is features
         exact_partition(target)
         exact_gradient(target)
         estimate_gradient(target.at_beta(1.0), 50, EXACT, rng)
         if x is not None:
-            data = Dataset((Instance(x, target.table.labels.structures[k]),))
+            data = Dataset((Instance(x, space.structures(space.label_table.payloads)[k]),))
             objective(theta, data, space, 1.0)
             gradient(theta, data, space, 1.0)
     assert calls["n"] == 1
@@ -288,7 +288,7 @@ def test_label_table_matches_the_per_structure_build(space):
     table = space.labels()
     assert table.payloads.shape[0] == len(structures) == space.count()
     assert np.array_equal(table.features, psi)
-    assert table.structures == structures
+    assert tuple(space.structures(table.payloads)) == structures
     with pytest.raises(ValueError):
         table.payloads[0, 0] = 0
 
@@ -360,7 +360,7 @@ def test_mcmc_train_builds_its_layout_once(monkeypatch):
     for theta, stream, g in gradients:
         params = Params(theta, lam=config.lam)
         expectation = sum(
-            count * estimate_gradient(GibbsTarget(space, params, x=x), S, EXACT, stream).d
+            count * estimate_gradient(GibbsTarget(space, params, x=x), S, EXACT, stream)
             for x, count in zip(xs, counts))
         want = 2.0 * config.lam * theta + (expectation - phis.sum(axis=0)) / data.m
         np.testing.assert_allclose(g, want, rtol=1e-12)
