@@ -418,8 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_part = sub.add_parser("partition", help="estimate ln Z")
     common(p_part)
     p_part.add_argument("--eps", type=float, default=0.2)
-    p_part.add_argument("--p", type=int, default=3)
-    p_part.add_argument("--mode", default="exact", choices=["exact", "approximate"])
+    p_part.add_argument("--p", type=int, default=3,
+                        help="schedule density of approximate mode (>= 3); "
+                             "exact mode runs TPA and ignores it")
+    p_part.add_argument("--mode", default="exact", choices=["exact", "approximate"],
+                        help="exact: TPA over exact draws; approximate: the cooling "
+                             "schedule over approximate draws")
     p_part.add_argument("--runs", type=int, default=1,
                         help="independent runs combined by their median")
     p_part.add_argument("--delta", type=float, default=0.25)

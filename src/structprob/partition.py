@@ -1,6 +1,23 @@
 """Randomized approximation of the partition function and its gradient.
 
-ln Z is estimated by writing Z as a telescoping product of ratios
+In exact mode ln Z is estimated by the Tootsie Pop Algorithm (Huber 2015,
+"Approximation algorithms for the normalizing constant of Gibbs
+distributions").  With H(y) = s_max - score(y) >= 0, the ceiling s_max of
+``GibbsTarget.score_ceiling``, Z = e^{s_max} Z_H(1) where
+Z_H(beta) = sum_y exp(-beta H(y)) falls from Z_H(0) = |Y|.  A run starts at
+beta = 0 and repeats: draw X ~ pi_beta exactly, then raise beta by
+Exp(1)/H(X).  The steps that stay at or below 1 are a Poisson count with
+mean L = ln(|Y| / Z_H(1)), so r runs count k ~ Poisson(r L) and
+
+    ln Z ~ ln|Y| + s_max - k/r.
+
+L is at most L_bound = s_max - E_unif score (Jensen): exactly that on a
+tabled target, s_max + B*R otherwise.  Bernstein's Poisson tail with
+t = ln(1 + eps) sets r = ceil(2 (L_bound + t/3) ln(2/TPA_FAILURE) / t^2), so
+the estimate is within (1 +- eps) of Z but with probability at most
+TPA_FAILURE.  A run makes one exact draw per step, r (L + 1) draws in all.
+
+In approximate mode Z is a telescoping product of ratios
 Z(b_{i-1} theta) / Z(b_i theta) along a cooling schedule 0 = b_0 < ... <
 b_l = 1 whose gaps are small enough that each ratio's per-sample estimator
 
@@ -8,22 +25,20 @@ b_l = 1 whose gaps are small enough that each ratio's per-sample estimator
 
 is confined to [exp(-1/p), exp(1/p)].  That containment bounds the relative
 variance of f_i by exp(2/p), which fixes the per-ratio sample size S needed
-for a (1 +- eps) answer with probability >= 3/4.  Sampling per ratio is
-either exact (CFTP) or approximate within a total-variation budget that
-preserves the same guarantee.
+for a (1 +- eps) answer with probability >= 3/4 even though each draw is
+only within a total-variation budget of pi_{b_i}.  The per-ratio means are
+combined in log space: the estimate is ln|Y| - sum_i ln(mean_i).
 
 The log-partition gradient is the expectation of the joint features under
 pi_beta and is estimated by a sample mean whose directional error obeys a
 Hoeffding bound; ``hoeffding_sample_size`` inverts that bound for S.
-
-All combination of per-ratio means happens in log space: the estimate is
-ln|Y| - sum_i ln(mean_i).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from math import ceil, exp, isfinite, log, ulp
+from math import ceil, exp, inf, isfinite, log, log1p, ulp
 from typing import Optional
 
 import numpy as np
@@ -36,13 +51,18 @@ from .samplers import (
     _approx_batch_indices,
     _cftp_batch_indices,
     _check_expected_proposals,
+    _format_count,
     _logsumexp,
+    _rejection_at_betas,
     sample_exact_cftp,  # unused here; the benchmark tracer patches this name
 )
 from .streams import require_rng
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
+
+# An exact-mode estimate misses (1 +- eps) Z with probability at most this.
+TPA_FAILURE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -145,31 +165,50 @@ class RatioEstimate:
 
 
 @dataclass(frozen=True)
+class TPACount:
+    """What an exact-mode estimate spent: r runs counted k steps at or
+    below beta = 1 with r + k exact draws, sized for L_bound at the
+    failure bound."""
+
+    r: int
+    k: int
+    l_bound: float
+    failure_bound: float = TPA_FAILURE
+
+    def to_json(self) -> dict:
+        return {"r": self.r, "k": self.k, "draws": self.r + self.k,
+                "l_bound": self.l_bound, "failure_bound": self.failure_bound}
+
+
+@dataclass(frozen=True)
 class PartitionEstimate:
     """An estimated ln Z with its accuracy contract.
 
     A single run satisfies (1-eps) Z <= Zhat <= (1+eps) Z with probability
     at least success_prob; medians of independent runs boost the latter.
+    An exact-mode (TPA) estimate carries its ``tpa`` count, an approximate
+    one its ``schedule`` and per-ratio means.
     """
 
     log_value: float
     epsilon: float
     mode: str
-    schedule: CoolingSchedule
-    ratios: tuple[RatioEstimate, ...]
+    schedule: Optional[CoolingSchedule] = None
+    ratios: tuple[RatioEstimate, ...] = ()
+    tpa: Optional[TPACount] = None
     success_prob: float = 0.75
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {
-            "log_value": self.log_value,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "p": self.schedule.p,
-            "betas": list(self.schedule.betas),
-            "per_ratio": [r.to_json() for r in self.ratios],
-            "seed": self.seed,
-        }
+        doc = {"log_value": self.log_value, "epsilon": self.epsilon, "mode": self.mode}
+        if self.tpa is not None:
+            doc["tpa"] = self.tpa.to_json()
+        else:
+            doc["p"] = self.schedule.p
+            doc["betas"] = list(self.schedule.betas)
+            doc["per_ratio"] = [r.to_json() for r in self.ratios]
+        doc["seed"] = self.seed
+        return doc
 
 
 def estimate_ratio(
@@ -206,23 +245,81 @@ def check_partition_work(
     p: int = 3,
     mode: str = EXACT,
     runs: int = 1,
-) -> tuple[int, int, Optional[float]]:
+) -> tuple:
     """Refuse ``runs`` partition estimates whose work exceeds
-    MAX_EXPECTED_PROPOSALS, before the grid or any draw; returns
-    (l, S, eps_tv) of one run.
+    MAX_EXPECTED_PROPOSALS, before the grid or any draw; returns the sizes
+    of one run: (r, L_bound) in exact mode, (l, S, eps_tv) in approximate
+    mode (``p`` is read in approximate mode only).
 
-    Each of a run's l ratios is priced as S draws at beta = 1, the
-    costliest: delta_beta only falls as beta rises, so certificates get no
-    cheaper and the mixing bound no shorter.
+    Every draw is priced at beta = 1, the costliest: delta_beta only falls
+    as beta rises, so certificates get no cheaper and the mixing bound no
+    shorter.  An exact run is priced at r*(L_bound + 1) draws, at least the
+    r*(L + 1) it expects; an approximate run at l ratios of S draws.
     """
+    if mode == EXACT:
+        l_bound = _tpa_l_bound(target)
+        if not isfinite(l_bound):  # B*R overflowed, and so did the certificate price
+            _check_expected_proposals(target, runs)
+        r = tpa_runs(l_bound, epsilon)
+        _check_expected_proposals(
+            target, runs * r * ceil(1.0 + l_bound), None,
+            f"{runs} partition estimates of {_format_count(r)} TPA runs expecting "
+            f"at most {1.0 + l_bound:.3g} draws each")
+        return r, l_bound
     l = 1 + _grid(FEATURE_NORM_BOUND, target.params.theta_norm, p)[1]
     S = sample_size(epsilon, l, p)
-    eps_tv = None if mode == EXACT else tv_target(epsilon, l, p)
-    steps = None if eps_tv is None else target.mixing_steps(eps_tv)
+    eps_tv = tv_target(epsilon, l, p)
+    steps = target.mixing_steps(eps_tv)
     _check_expected_proposals(target, runs * l * S, steps,
-                              f"{runs} partition estimates of {l} ratios of {S} draws"
-                              + ("" if steps is None else f", {steps} steps each,"))
+                              f"{runs} partition estimates of {l} ratios of {S} draws, "
+                              f"{_format_count(steps)} steps each,")
     return l, S, eps_tv
+
+
+def _tpa_l_bound(target: GibbsTarget) -> float:
+    """L_bound = s_max - E_unif score >= L: exact on a tabled target, with
+    -B*R for the mean otherwise."""
+    mean = -target.score_bound if target.table is None else float(target.table.mean())
+    return target.score_ceiling - mean
+
+
+def tpa_runs(l_bound: float, epsilon: float, failure: float = TPA_FAILURE) -> int:
+    """TPA runs r whose count k/r is within t = ln(1 + eps) of any L <= l_bound
+    but with probability at most ``failure``.
+
+    k is Poisson(r L), so Bernstein's tail bounds P(|k - r L| >= r t) by
+    2 exp(-r t^2 / (2 (L + t/3))).  Raises InvalidEpsilon when r is beyond
+    the largest float.
+    """
+    _check_epsilon(epsilon)
+    t = log1p(epsilon)
+    try:  # t*t may underflow to 0, and ceil(inf) raises OverflowError
+        return ceil(2.0 * (l_bound + t / 3.0) * log(2.0 / failure) / (t * t))
+    except (ZeroDivisionError, OverflowError):
+        raise InvalidEpsilon(
+            f"epsilon = {epsilon:g} needs a TPA run count beyond the largest float"
+        ) from None
+
+
+def _tpa_count(target: GibbsTarget, r: int, rng: np.random.Generator) -> int:
+    """k, the steps at or below beta = 1 of r TPA runs from beta = 0.
+
+    The runs advance level by level: one ``_rejection_at_betas`` call draws
+    X ~ pi_beta for every run still open, and each run's beta rises by
+    Exp(1)/H(X), H = s_max - score(X) >= 0 (to inf where H = 0).  A run
+    closes at its first beta above 1.
+    """
+    s_max = target.score_ceiling
+    betas, k = np.zeros(r), 0
+    while len(betas):
+        _, scores, _ = _rejection_at_betas(target, betas, rng)
+        h = s_max - scores
+        rise = np.full(len(betas), inf)
+        np.divide(rng.standard_exponential(len(betas)), h, out=rise, where=h > 0.0)
+        betas = betas + rise
+        betas = betas[betas <= 1.0]
+        k += len(betas)
+    return k
 
 
 def estimate_partition(
@@ -233,18 +330,32 @@ def estimate_partition(
     rng: np.random.Generator = None,
     seed: Optional[int] = None,
 ) -> PartitionEstimate:
-    """FPRAS for ln Z(theta) at beta = 1.
+    """(1 +- eps) estimate of ln Z(theta) at beta = 1.
 
-    Telescopes Z into schedule ratios, spends sample_size(eps, l, p) draws
-    on each, and combines in log space as ln|Y| - sum ln(mean_i).  With an
-    exact per-ratio sampler the result is within (1 +- eps) of Z with
-    probability >= 3/4; the approximate mode keeps that guarantee by
-    sampling each draw within tv_target(eps, l, p) total variation.
+    Exact mode runs TPA: r = tpa_runs(L_bound, eps) runs of exact draws,
+    within (1 +- eps) of Z with probability at least 1 - TPA_FAILURE.
+    Approximate mode telescopes Z into schedule ratios, spends
+    sample_size(eps, l, p) draws on each, each within tv_target(eps, l, p)
+    total variation, and combines in log space as ln|Y| - sum ln(mean_i):
+    within (1 +- eps) of Z with probability >= 3/4.
     """
     _check_epsilon(epsilon)
     if target.beta != 1.0:
         raise ValueError("partition estimation expects a target at beta = 1")
+    if mode not in (EXACT, APPROXIMATE):
+        raise ValueError(f"unknown sampler mode {mode!r}")
     require_rng(rng, "estimate_partition")
+    if mode == EXACT:
+        r, l_bound = check_partition_work(target, epsilon, p, mode)
+        k = _tpa_count(target, r, rng)
+        return PartitionEstimate(
+            log_value=ln_count(target.space) + target.score_ceiling - k / r,
+            epsilon=epsilon,
+            mode=mode,
+            tpa=TPACount(r, k, l_bound),
+            success_prob=1.0 - TPA_FAILURE,
+            seed=seed,
+        )
     l, S, eps_tv = check_partition_work(target, epsilon, p, mode)
     schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm, p)
     ratio_rngs = rng.spawn(l)
@@ -289,16 +400,7 @@ def boost_by_median(runs, delta: float) -> PartitionEstimate:
     runs = list(runs)
     check_runs(len(runs), delta)
     log_value = float(np.median([r.log_value for r in runs]))
-    first = runs[0]
-    return PartitionEstimate(
-        log_value=log_value,
-        epsilon=first.epsilon,
-        mode=first.mode,
-        schedule=first.schedule,
-        ratios=first.ratios,
-        success_prob=1.0 - delta,
-        seed=first.seed,
-    )
+    return dataclasses.replace(runs[0], log_value=log_value, success_prob=1.0 - delta)
 
 
 def hoeffding_sample_size(R: float, G: float, epsilon: float, delta: float) -> int:

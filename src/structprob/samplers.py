@@ -44,6 +44,10 @@ uniform start is a CFTP run whose backward search stops after T + 1
 proposals, the last its start.  So all three samplers cut one i.i.d. pool
 from ``GibbsTarget.propose`` into runs; rejection returns their
 certificates, and CFTP and the approximate sampler replay them.
+
+The partition estimator's TPA needs one exact draw per run at a beta of its
+own; ``_rejection_at_betas`` makes them by the same envelope rejection, each
+run scanning its own rows of proposals.
 """
 
 from __future__ import annotations
@@ -323,6 +327,12 @@ def _ceiling_text(target: GibbsTarget) -> str:
     return f"beta*s_max = {target.beta * target.score_ceiling:.6g}"
 
 
+def _format_count(n: int | float) -> str:
+    """A computed count, however large, in the scientific notation of
+    ``_format_log_count``; 0 stays 0."""
+    return _format_log_count(log(n)) if n else "0"
+
+
 def _check_expected_proposals(target: GibbsTarget, n: int, steps: Optional[int] = None,
                               what: Optional[str] = None) -> None:
     """Refuse n runs whose expected proposals, n*min(1/delta_beta, steps + 1),
@@ -331,7 +341,7 @@ def _check_expected_proposals(target: GibbsTarget, n: int, steps: Optional[int] 
     log_rounds = target.log_rounds_per_certificate
     if steps is not None:
         log_rounds = min(log_rounds, log1p(steps))
-        what = what or f"{n} approximate draws of {steps} steps each"
+        what = what or f"{n} approximate draws of {_format_count(steps)} steps each"
     subject = f"{what} at {_ceiling_text(target)} expect" if what else (
         f"a certificate search for {n} runs at {_ceiling_text(target)} expects")
     _check_work(log(n) + log_rounds if n else -inf, subject)
@@ -355,6 +365,39 @@ def _run_ends(hit: np.ndarray, drawn: int, steps: Optional[int]) -> np.ndarray:
     return np.minimum(np.repeat(start - 1, runs) + cap * j, np.repeat(stop, runs))
 
 
+def _run_count(hit: np.ndarray, drawn: int, steps: Optional[int]) -> int:
+    """len(_run_ends(hit, drawn, steps)), without building the ends: each
+    stretch holds its cut-off runs, and each hit ends one more."""
+    if steps is None or steps >= drawn:
+        return len(hit)
+    # the positions before each hit, and after the last, that no hit ends
+    between = np.diff(hit, prepend=-1, append=drawn) - 1
+    return int((between // (steps + 1)).sum()) + len(hit)
+
+
+def _first_chunk(target: GibbsTarget, n: int, steps: Optional[int]) -> int:
+    """Proposals in the first chunk of a search for n runs.
+
+    On a tabled target with a cut at ``steps``, delta_beta is exact, so a
+    run's length X = min(Geometric(delta), T + 1) has the known mean
+    (1 - q^(T+1))/delta, q = 1 - delta: the chunk is n such means plus two
+    standard deviations of their sum, and at most the n*(T + 1) positions
+    that surely complete n runs.  Otherwise (delta only a bound, or no cut)
+    it is n.
+    """
+    if steps is None or target.table is None:
+        return n
+    delta, m = exp(-target.log_rounds_per_certificate), steps + 1
+    if delta >= 1.0:  # every proposal certifies: runs of one
+        return n
+    log_q_m = m * log1p(-delta)  # ln P(X = T + 1)
+    mean = -expm1(log_q_m) / delta
+    second = 2.0 * (mean - m * exp(log_q_m)) / delta - mean  # E X^2
+    # rounding can push the variance out of [0, ((T + 1) - 1)^2 / 4]
+    var = min(max(second - mean * mean, 0.0), (float(m) - 1.0) ** 2 / 4.0)
+    return min(ceil(n * mean + 2.0 * sqrt(n * var)), n * m)
+
+
 def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator,
                         steps: Optional[int] = None):
     """n runs cut from one pool of uniform proposals.
@@ -363,7 +406,8 @@ def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator,
     certifies when a >= beta*s_max.  The pool is one i.i.d. stream, cut into
     runs by ``_run_ends``; without ``steps`` run j ends at the j-th hit, and
     its depth, the gap between hits, is geometric with mean 1/delta_beta.
-    The pool grows in a few ``propose`` chunks, each sized from the rate of
+    The pool grows in a few ``propose`` chunks: the first of
+    ``_first_chunk`` proposals, each later one sized from the rate of
     completed runs so far; a chunk after none at most doubles the pool.
     Returns (ends, depths, (keys, scores, bids)): each run's last pool
     position and length, in pool order, and the pool.  Refused up front by
@@ -372,22 +416,60 @@ def _certificate_rounds(target: GibbsTarget, n: int, rng: np.random.Generator,
     _check_expected_proposals(target, n, steps)
     beta = target.beta
     bound = beta * target.score_ceiling
-    chunks, hits, drawn, size = [], [], 0, n
+    chunks, hits, drawn, size = [], [], 0, _first_chunk(target, n, steps)
     while True:  # the first chunk always runs, even for n = 0
         z, s_z = target.propose(rng, size)
         bids = beta * s_z + rng.standard_exponential(size)
         chunks.append((z, s_z, bids))
         hits.append(drawn + np.flatnonzero(bids >= bound))
         drawn += size
-        ends = _run_ends(np.concatenate(hits), drawn, steps)
-        if (runs := len(ends)) >= n:
+        hit = hits[0] if len(hits) == 1 else np.concatenate(hits)
+        if (runs := _run_count(hit, drawn, steps)) >= n:
             break
         # the need plus two standard deviations, at a high estimate of the rate
         need, rate = n - runs, (runs + 2.0 * sqrt(runs) + 2.0) / drawn
         size = ceil((need + 2.0 * sqrt(need)) / rate) if runs else drawn
     pool = chunks[0] if len(chunks) == 1 else tuple(np.concatenate(p) for p in zip(*chunks))
-    ends = ends[:n]
+    ends = _run_ends(hit, drawn, steps)[:n]
     return ends, np.diff(ends, prepend=-1), pool
+
+
+def _rejection_at_betas(target: GibbsTarget, betas: np.ndarray,
+                        rng: np.random.Generator):
+    """One exact draw from pi_{beta_j} for each entry beta_j of ``betas``;
+    ``target``'s own beta is ignored.
+
+    Run j scans its own row of uniform proposals and accepts the first z
+    whose E ~ Exp(1) reaches beta_j*(s_max - s(z)), which happens with
+    probability exp(beta_j*(s(z) - s_max)) <= 1: envelope rejection, so
+    every draw is exact and its trials are Geometric(delta_{beta_j}).  The
+    runs still open take rows of 2, 4, 8, ... proposals, one ``propose``
+    call per width, so no run draws more than twice the trials it uses.
+    Returns (keys, beta-free scores, trials), one entry per run.  Unpriced:
+    the caller prices its runs before the first call.
+    """
+    betas = np.asarray(betas, dtype=float)
+    s_max = target.score_ceiling
+    trials = np.zeros(len(betas), dtype=np.int64)
+    scores = np.empty(len(betas))
+    keys = None
+    open_, width = np.arange(len(betas)), 2
+    while True:  # runs once even without runs, to type the keys
+        m = len(open_)
+        z, s_z = target.propose(rng, m * width)
+        if keys is None:
+            keys = np.empty((len(betas),) + z.shape[1:], dtype=z.dtype)
+        accept = (rng.standard_exponential((m, width))
+                  >= betas[open_, None] * (s_max - s_z.reshape(m, width)))
+        first = accept.argmax(axis=1)  # the first accept, or 0 if none
+        done = np.flatnonzero(accept[np.arange(m), first])
+        picked, runs = done * width + first[done], open_[done]
+        keys[runs], scores[runs] = z[picked], s_z[picked]
+        trials[runs] = width - 1 + first[done]  # earlier rows held width - 2
+        open_ = np.delete(open_, done)
+        if not len(open_):
+            return keys, scores, trials
+        width *= 2
 
 
 def _cftp_batch_indices(target, n, rng, steps=None, start=None):

@@ -50,3 +50,9 @@ def test_batch_size_probe():
     mix = bench_report._probe(ROOT, bench_report._MIX_PROBE, str(bench_report.MIX_SEED))
     assert mix["sizes"] and all(mix["sizes"].values())
     assert set(mix["siblings"]) == set(mix["sizes"])
+
+
+def test_exact_estimate_probe(draw_cases):
+    # exact-mode estimate_partition on the first exact request
+    probe = bench_report._estimate_rate(ROOT, draw_cases["exact"][0], 1, WINDOW_S)
+    assert probe["tabled"] in (True, False) and probe["rate"] > 0

@@ -131,7 +131,7 @@ def test_partition_zero_theta_exact(tmp_path, capsys):
     ]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["log_value"] == 6 * log(2)
-    assert doc["betas"] == [0.0, 1.0]
+    assert doc["tpa"]["k"] == 0  # every score is s_max: no run steps below beta 1
 
 
 def test_partition_oracle_flag(capsys):
@@ -346,7 +346,7 @@ def test_tabled_sample_over_the_limit_is_still_refused(capsys, sampler):
     _refused_quickly(capsys, [
         "sample", "--space", "hypercube:6", "--theta-random", "40",
         "--norm-budget", "40", "--n", "1000000", "--seed", "1", "--sampler", sampler,
-    ], 3, (r"1000000 approximate draws of \d+ steps each at beta\*s_max = [\d.]+ expect "
+    ], 3, (r"1000000 approximate draws of \d\.\de\+\d+ steps each at beta\*s_max = [\d.]+ expect "
            if sampler == "approx" else r"1000000 runs at beta\*s_max = [\d.]+ expects ")
         + ESTIMATE)
 
@@ -354,8 +354,8 @@ def test_tabled_sample_over_the_limit_is_still_refused(capsys, sampler):
 def test_partition_prices_all_runs_before_the_first(capsys):
     _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--theta-random",
                               "1", "--runs", "1000000000", "--seed", "1"],
-                     3, r"1000000000 partition estimates of \d+ ratios of \d+ draws "
-                        r"at beta\*s_max = [\d.]+ expect " + ESTIMATE)
+                     3, r"1000000000 partition estimates of \d\.\de\+\d+ TPA runs expecting "
+                        r"at most [\d.]+ draws each at beta\*s_max = [\d.]+ expect " + ESTIMATE)
     _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--runs", "0",
                               "--seed", "1"], 2, "runs must be >= 1")
 
@@ -455,8 +455,11 @@ def test_approx_sampler_refuses_an_unrunnable_mixing_bound(capsys):
         "--norm-budget", "30", "--sampler", "approx", "--seed", "1",
     ])
     assert code == 3
-    assert re.search(r"approximate draws of \d+ steps each at beta\*B\*R = 30 expect about "
-                     r"1\.1e\+27 proposals", capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.search(r"approximate draws of \d\.\de\+\d+ steps each at beta\*B\*R = 30 "
+                     r"expect about 1\.1e\+27 proposals", err)
+    # the 27-digit mixing bound is printed in scientific notation
+    assert not re.search(r"\d{13}", err), err
 
 
 def test_approx_sampler_runs_a_mixing_bound_above_the_limit(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structprob import (
+    CyclicPermutations,
     EpochBudgetExhausted,
     Hypercube,
     InvalidEpsilon,
@@ -29,8 +30,22 @@ from structprob import (
     sample_size,
     tv_target,
 )
-from structprob.partition import APPROXIMATE, EXACT, _grid
-from structprob.samplers import GibbsTarget, _approx_batch_indices
+from structprob.partition import (
+    APPROXIMATE,
+    EXACT,
+    TPA_FAILURE,
+    _grid,
+    check_partition_work,
+    _tpa_count,
+    _tpa_l_bound,
+    tpa_runs,
+)
+from structprob.samplers import (
+    MAX_EXPECTED_PROPOSALS,
+    GibbsTarget,
+    _approx_batch_indices,
+    expected_proposals,
+)
 
 
 def unit_target(space, seed, norm=1.0, beta=1.0):
@@ -251,7 +266,7 @@ def test_estimate_partition_theta_zero_exact():
     target = GibbsTarget(space, Params(np.zeros(16), norm_budget=1.0), beta=1.0)
     est = estimate_partition(target, 0.5, rng=np.random.default_rng(100))
     assert est.log_value == ln_count(space)
-    assert est.schedule.betas == (0.0, 1.0)
+    assert est.tpa.k == 0  # every score is s_max: no run steps below beta 1
 
 
 def test_estimate_partition_validation():
@@ -281,6 +296,14 @@ def test_partition_estimate_serialization():
     space = Hypercube(4)
     target = unit_target(space, seed=104)
     est = estimate_partition(target, 0.4, rng=np.random.default_rng(105), seed=105)
+    doc = est.to_json()
+    assert set(doc) == {"log_value", "epsilon", "mode", "tpa", "seed"}
+    assert doc["seed"] == 105 and doc["mode"] == EXACT
+    assert set(doc["tpa"]) == {"r", "k", "draws", "l_bound", "failure_bound"}
+    assert doc["tpa"]["draws"] == est.tpa.r + est.tpa.k
+    assert doc["tpa"]["failure_bound"] == TPA_FAILURE
+    est = estimate_partition(target, 0.4, mode=APPROXIMATE, rng=np.random.default_rng(105),
+                             seed=105)
     doc = est.to_json()
     assert set(doc) == {"log_value", "epsilon", "mode", "p", "betas", "per_ratio", "seed"}
     assert doc["seed"] == 105
@@ -397,6 +420,88 @@ def test_estimate_partition_refuses_hopeless_exact_runs_before_drawing():
     with pytest.raises(EpochBudgetExhausted, match=r"about 5\.1e\+07 proposals"):
         _approx_batch_indices(target, 1e-3, 10**7, rng)
     assert rng.bit_generator.state == state
+
+
+# ------------------------------------------------------- TPA (exact mode)
+
+def tpa_targets():
+    return [unit_target(Hypercube(4), seed=180, norm=1.5),
+            unit_target(Permutations(4), seed=181, norm=2.0),
+            unit_target(CyclicPermutations(5), seed=182, norm=2.5)]
+
+
+def exact_l(target):
+    """L = ln|Y| + s_max - ln Z, the mean count of one TPA run."""
+    return ln_count(target.space) + target.score_ceiling - exact_partition(target)
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_tpa_counts_are_poisson_with_mean_r_times_l(which):
+    # k of r runs is Poisson(r L): its mean over seeds within 4 standard
+    # errors of r L, and its dispersion index inside the central 99.9% of
+    # its chi-square law
+    from scipy import stats
+
+    target = tpa_targets()[which]
+    L = exact_l(target)
+    assert 0.0 < L <= _tpa_l_bound(target)
+    r, seeds = 20, 400
+    k = np.array([_tpa_count(target, r, np.random.default_rng((183, which, s)))
+                  for s in range(seeds)])
+    assert abs(k.mean() - r * L) <= 4.0 * np.sqrt(r * L / seeds)
+    dispersion = ((k - k.mean()) ** 2).sum() / k.mean()
+    assert stats.chi2.ppf(0.0005, seeds - 1) <= dispersion <= stats.chi2.ppf(0.9995, seeds - 1)
+
+
+def test_tpa_sized_for_a_failure_bound_fails_no_more_often():
+    # r sized for failure 0.05 (instead of TPA_FAILURE): the estimates
+    # outside (1 +- eps) Z stay within the binomial 0.999 quantile
+    from scipy import stats
+
+    eps, failure, trials = 0.3, 0.05, 300
+    failures = 0
+    for which, target in enumerate(tpa_targets()):
+        r = tpa_runs(_tpa_l_bound(target), eps, failure)
+        ln_z = exact_partition(target)
+        for s in range(trials // 3):
+            k = _tpa_count(target, r, np.random.default_rng((184, which, s)))
+            log_value = ln_count(target.space) + target.score_ceiling - k / r
+            failures += abs(exp(log_value - ln_z) - 1.0) > eps
+    assert failures <= stats.binom.ppf(0.999, trials, failure)
+
+
+def test_tpa_runs_values():
+    t = log(1.3)
+    assert tpa_runs(1.0, 0.3) == np.ceil(2.0 * (1.0 + t / 3.0) * log(2e8) / t**2)
+    assert tpa_runs(2.0, 0.3, 0.05) < tpa_runs(2.0, 0.3) < tpa_runs(4.0, 0.3)
+    with pytest.raises(InvalidEpsilon, match="beyond the largest float"):
+        tpa_runs(1.0, 1e-200)
+    with pytest.raises(InvalidEpsilon):
+        tpa_runs(1.0, 1.5)
+
+
+def test_tpa_prices_r_runs_of_l_bound_plus_one_draws():
+    # refused at the price r*(L_bound + 1)/delta_1, not at l*S draws
+    target = unit_target(Hypercube(6), seed=185, norm=2.0)
+    r, l_bound = check_partition_work(target, 0.3)
+    assert (r, l_bound) == (tpa_runs(_tpa_l_bound(target), 0.3), _tpa_l_bound(target))
+    runs = int(MAX_EXPECTED_PROPOSALS / (r * np.ceil(1 + l_bound) * expected_proposals(
+        target, 1))) + 1
+    check_partition_work(target, 0.3, runs=runs - 1)
+    with pytest.raises(EpochBudgetExhausted, match=rf"{runs} partition estimates of "):
+        check_partition_work(target, 0.3, runs=runs)
+
+
+def test_tpa_estimate_reports_its_count():
+    target = tpa_targets()[0]
+    est = estimate_partition(target, 0.3, rng=np.random.default_rng(186))
+    r, l_bound = check_partition_work(target, 0.3)
+    assert est.tpa.r == r and est.tpa.l_bound == l_bound
+    assert est.log_value == ln_count(target.space) + target.score_ceiling - est.tpa.k / r
+    assert est.schedule is None and est.ratios == ()
+    # the same stream gives the same count
+    again = estimate_partition(target, 0.3, rng=np.random.default_rng(186))
+    assert again == est
 
 
 # ------------------------------------------------------------ missing rng

@@ -20,17 +20,24 @@ from structprob import (
     exact_distribution,
     mixing_time_bound,
     random_unit_theta,
+    build_schedule,
     sample_approx,
     sample_exact_cftp,
     sample_rejection,
+    sample_size,
     stream,
+    tv_target,
 )
+from structprob import samplers
 from structprob.samplers import (
     MAX_EXPECTED_PROPOSALS,
     GibbsTarget,
     _approx_batch_indices,
     _certificate_rounds,
     _cftp_batch_indices,
+    _first_chunk,
+    _rejection_at_betas,
+    _run_count,
     _run_ends,
     expected_proposals,
 )
@@ -811,6 +818,7 @@ def test_run_ends_match_a_scan(steps):
         hit = rng.random(300) < rate
         ends = _run_ends(np.flatnonzero(hit), len(hit), steps)
         assert ends.tolist() == scanned_run_ends(hit, steps)
+        assert _run_count(np.flatnonzero(hit), len(hit), steps) == len(ends)
 
 
 def law_targets():
@@ -866,12 +874,114 @@ def test_approximate_draws_cost_at_most_the_certificate_depth(monkeypatch):
 
 
 @pytest.mark.parametrize("tabled", [True, False])
-def test_a_cut_no_run_reaches_leaves_cftp_unchanged(tabled):
-    # with every depth below the cut, the search and the draws are CFTP's
+def test_a_cut_no_run_reaches_leaves_cftp_unchanged(monkeypatch, tabled):
+    # with every depth below the cut, the search and the draws are CFTP's;
+    # a tabled cut-off search only sizes its first chunk from the expected
+    # run length, so both searches start from CFTP's chunk of n here
     target = unit_target(Hypercube(5), seed=157, norm=1.2)
     if not tabled:
         target = untabled(target)
+    monkeypatch.setattr(samplers, "_first_chunk", lambda target, n, steps: n)
     exact = _cftp_batch_indices(target, 400, np.random.default_rng(158))
     cut = _cftp_batch_indices(target, 400, np.random.default_rng(158), 10**6)
     for a, b in zip(exact, cut):
         assert np.array_equal(a, b)
+
+
+def test_the_first_chunk_is_the_expected_cut_off_pool():
+    # n runs of min(Geometric(delta), T + 1) positions, summed term by term
+    n = 1000
+    for target in law_targets():
+        delta = exp(-target.log_rounds_per_certificate)
+        for steps in (0, 1, 3, 10, 100):
+            reach = (1.0 - delta) ** np.arange(steps + 1)  # P(X >= k), k = 1..T+1
+            mean = reach.sum()
+            var = ((2 * np.arange(steps + 1) + 1) * reach).sum() - mean**2
+            expected = min(np.ceil(n * mean + 2.0 * np.sqrt(n * var)), n * (steps + 1))
+            assert abs(_first_chunk(target, n, steps) - expected) <= 1
+    # CFTP, and any search whose delta is only a bound, start with n
+    target = law_targets()[0]
+    assert _first_chunk(target, n, None) == n
+    assert _first_chunk(untabled(target), n, 5) == n
+
+
+def test_approximate_searches_rarely_take_a_second_chunk(monkeypatch):
+    # the fpras-tabled approximate request on hypercube:12 at norm 1.1:
+    # about 2.1 propose calls per search when the first chunk was n
+    target = unit_target(Hypercube(12), seed=160, norm=1.1)
+    schedule = build_schedule(1.0, 1.1, 3)
+    S = sample_size(0.3, schedule.l, 3)
+    eps_tv = tv_target(0.3, schedule.l, 3)
+    sizes = recorded_propose(monkeypatch)
+    searches = 0
+    for seed in range(50):
+        rng = np.random.default_rng((161, seed))
+        for beta in schedule.betas[1:]:
+            _approx_batch_indices(target.at_beta(beta), eps_tv, S, rng)
+            searches += 1
+    assert searches == 200 and len(sizes) / searches <= 1.5
+
+
+# ------------------------------------- per-run-beta rejection (TPA draws)
+
+REJECTION_BETAS = (0.0, 0.3, 1.0, 2.5)
+
+
+def rejection_targets():
+    """Three tabled targets, and the third again with its table dropped."""
+    return [("permutations:3", pool_target(1.0)),
+            ("cycles:5", unit_target(CyclicPermutations(5), seed=152, norm=2.0)),
+            ("hypercube:4", unit_target(Hypercube(4), seed=151, norm=1.5)),
+            ("hypercube:4-untabled", unit_target(Hypercube(4), seed=151, norm=1.5))]
+
+
+@pytest.mark.parametrize("which", range(4), ids=[n for n, _ in rejection_targets()])
+def test_per_run_beta_draws_follow_pi_beta(which):
+    # one call mixes the four betas; each beta's draws follow pi_beta and
+    # its trial counts Geometric(delta_beta), at a family-wise level of 0.01
+    name, target = rejection_targets()[which]
+    table = target.table
+    rows = {tuple(r): i for i, r in enumerate(target.space.label_table.payloads)}
+    if name.endswith("untabled"):
+        target = untabled(target)
+    n = 20_000
+    betas = np.tile(REJECTION_BETAS, n)
+    keys, scores, trials = _rejection_at_betas(target, betas, np.random.default_rng(170))
+    if target.table is None:  # payload rows back to table rows
+        keys = np.array([rows[tuple(r)] for r in keys])
+    np.testing.assert_allclose(scores, table[keys], rtol=1e-12, atol=1e-12)
+    level = 0.01 / (2 * len(REJECTION_BETAS))
+    for j, beta in enumerate(REJECTION_BETAS):
+        at = target.at_beta(beta)
+        probs = exact_distribution(at).probs
+        counts = np.bincount(keys[j::len(REJECTION_BETAS)], minlength=len(probs))
+        assert gof_p_value(counts, probs) > level, beta
+        t = trials[j::len(REJECTION_BETAS)]
+        if beta == 0.0:  # every first proposal is accepted
+            assert np.all(t == 1)
+            continue
+        delta = exp(-at.log_rounds_per_certificate) if at.table is not None else \
+            float(np.mean(np.exp(beta * (table - at.score_ceiling))))
+        top = 25
+        counts = np.bincount(np.minimum(t, top), minlength=top + 1)[1:]
+        geometric = delta * (1.0 - delta) ** np.arange(top)
+        geometric[-1] = (1.0 - delta) ** (top - 1)  # P(trials >= top)
+        assert gof_p_value(counts, geometric) > level, beta
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_per_run_beta_searches_draw_at_most_twice_what_they_use(monkeypatch, tabled):
+    # rows of 2, 4, 8, ... proposals: a run accepting at trial t drew at
+    # most 2t; over many searches the prototype measured 1.3-1.6x
+    target = unit_target(Hypercube(6), seed=171, norm=2.0)
+    if not tabled:
+        target = untabled(target)
+    sizes = recorded_propose(monkeypatch)
+    used = 0
+    rng = np.random.default_rng(172)
+    for _ in range(100):
+        betas = rng.uniform(0.0, 1.0, int(rng.integers(1, 300)))
+        keys, _, trials = _rejection_at_betas(target, betas, rng)
+        assert len(keys) == len(trials) == len(betas) and trials.min() >= 1
+        used += trials.sum()
+    assert used <= sum(sizes) <= 2 * used

@@ -20,7 +20,9 @@ sample size, on each exact space of ``fpras-tabled`` at norm 3.4 and of
 ``fpras-untabled`` at norm 1.15; and approximate draws/s:
 ``samplers._approx_batch_indices`` the same way, with the request's
 per-draw total-variation budget, for each approximate request of
-``fpras-tabled``.  Spaces and directions are built by
+``fpras-tabled``; and exact ln Z estimates/s: ``estimate_partition`` in
+exact mode on each of those exact requests (each estimate whole, whatever
+estimator the checkout runs in exact mode).  Spaces and directions are built by
 ``bench/workloads.py``, so the benchmark stays the one place that defines
 them.
 
@@ -161,6 +163,33 @@ print(json.dumps({"tabled": target.table is not None, "S": S, "ratios": len(targ
                   "rate": done / (time.perf_counter() - start)}))
 """
 
+# Run in a fresh interpreter in one checkout: exact-mode estimate_partition
+# calls/s on one request (space, norm, eps), with the theta direction drawn at
+# seed 0 as the workload draws it, the stream at the given seed, and the score
+# table built before the window.
+_ESTIMATES_PROBE = """
+import json, sys, time
+import numpy as np
+import workloads
+from structprob.model import Params
+from structprob.partition import estimate_partition
+from structprob.samplers import GibbsTarget
+spec, norm, eps = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+seed, window = int(sys.argv[4]), float(sys.argv[5])
+space = workloads.build_space(spec)
+theta = workloads._centred_direction(space, np.random.default_rng(0)) * norm
+target = GibbsTarget(space, Params(theta, norm_budget=norm))
+target.table
+rng = np.random.default_rng(seed)
+estimate_partition(target, eps, rng=rng)
+done, start = 0, time.perf_counter()
+while not done or time.perf_counter() - start < window:
+    estimate_partition(target, eps, rng=rng)
+    done += 1
+print(json.dumps({"tabled": target.table is not None,
+                  "rate": done / (time.perf_counter() - start)}))
+"""
+
 # The (space, norm, eps) of the requests the draw rates replay, per mode:
 # the exact requests at the given norm of each workload, and every
 # approximate request of fpras-tabled.
@@ -251,6 +280,12 @@ def _draw_rate(repo: Path, case: tuple, mode: str, seed: int,
                   str(window))
 
 
+def _estimate_rate(repo: Path, case: tuple, seed: int,
+                   window: float = CERTIFICATE_WINDOW_S) -> dict:
+    spec, norm, eps = case
+    return _probe(repo, _ESTIMATES_PROBE, spec, repr(norm), repr(eps), str(seed), str(window))
+
+
 def _alternating(sides, i):
     """Sides in the order of repeat i: reversed on odd repeats."""
     return sides if i % 2 == 0 else sides[::-1]
@@ -330,6 +365,16 @@ def main(argv=None) -> int:
                 file=sys.stderr)
     draw_metrics = {"exact": "certificate_draws_per_s", "approximate": "approx_draws_per_s"}
 
+    estimates = {name: {spec: [] for spec, *_ in draw_cases["exact"]} for name, _ in sides}
+    for case in draw_cases["exact"]:
+        spec = case[0]
+        for i, seed in enumerate(seeds):
+            for name, repo in _alternating(sides, i):
+                estimates[name][spec].append(_estimate_rate(repo, case, seed)["rate"])
+        print(f"exact estimates {spec}: " + ", ".join(
+            f"{n} {_spread(estimates[n][spec])['median']:.3g}/s" for n, _ in sides),
+            file=sys.stderr)
+
     report = {
         "command": f"bench/run.py --trace 0 --seconds {seconds:g}, seeds {seeds}; "
                    f"GibbsTarget.propose replaying the batch sizes of one "
@@ -339,6 +384,7 @@ def main(argv=None) -> int:
                    f"windows of at least {LABELS_WINDOW_S:g} s; "
                    f"_cftp_batch_indices over one exact request's schedule and "
                    f"_approx_batch_indices over one approximate request's, "
+                   f"and exact-mode estimate_partition on one exact request, "
                    f"{REPEATS} windows of at least {CERTIFICATE_WINDOW_S:g} s",
         "environment": {
             "python": platform.python_version(),
@@ -372,7 +418,11 @@ def main(argv=None) -> int:
                     **{draw_metrics[mode]: {
                         spec: {**draw_info[mode][spec], **_spread(draws[name][mode][spec]),
                                "runs": draws[name][mode][spec]}
-                        for spec, *_ in found} for mode, found in draw_cases.items()}},
+                        for spec, *_ in found} for mode, found in draw_cases.items()},
+                    "exact_estimates_per_s": {
+                        spec: {"norm": norm, "eps": eps, "tabled": draw_info["exact"][spec]["tabled"],
+                               **_spread(estimates[name][spec]), "runs": estimates[name][spec]}
+                        for spec, norm, eps in draw_cases["exact"]}},
             }
             for name, _ in sides
         },
@@ -396,6 +446,10 @@ def main(argv=None) -> int:
                 spec: change["per_layer"][metric][spec]["median"]
                 / parent["per_layer"][metric][spec]["median"]
                 for spec, *_ in draw_cases[mode]} for mode, metric in draw_metrics.items()},
+            "exact_estimates_per_s": {
+                spec: change["per_layer"]["exact_estimates_per_s"][spec]["median"]
+                / parent["per_layer"]["exact_estimates_per_s"][spec]["median"]
+                for spec, *_ in draw_cases["exact"]},
             "throughput_rps_pairs_won": {
                 w: sum(c["throughput_rps"] > p["throughput_rps"]
                        for c, p in zip(runs["change"][w], runs["parent"][w]))
