@@ -36,8 +36,7 @@ Hoeffding bound; ``hoeffding_sample_size`` inverts that bound for S.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, exp, inf, isfinite, log, log1p, ulp
 from typing import Optional
 
@@ -167,17 +166,16 @@ class RatioEstimate:
 @dataclass(frozen=True)
 class TPACount:
     """What an exact-mode estimate spent: r runs counted k steps at or
-    below beta = 1 with r + k exact draws, sized for L_bound at the
-    failure bound."""
+    below beta = 1 with r + k exact draws, r sized for L_bound at
+    TPA_FAILURE."""
 
     r: int
     k: int
     l_bound: float
-    failure_bound: float = TPA_FAILURE
 
     def to_json(self) -> dict:
         return {"r": self.r, "k": self.k, "draws": self.r + self.k,
-                "l_bound": self.l_bound, "failure_bound": self.failure_bound}
+                "l_bound": self.l_bound, "failure_bound": TPA_FAILURE}
 
 
 @dataclass(frozen=True)
@@ -400,7 +398,7 @@ def boost_by_median(runs, delta: float) -> PartitionEstimate:
     runs = list(runs)
     check_runs(len(runs), delta)
     log_value = float(np.median([r.log_value for r in runs]))
-    return dataclasses.replace(runs[0], log_value=log_value, success_prob=1.0 - delta)
+    return replace(runs[0], log_value=log_value, success_prob=1.0 - delta)
 
 
 def hoeffding_sample_size(R: float, G: float, epsilon: float, delta: float) -> int:
