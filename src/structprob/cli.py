@@ -41,6 +41,8 @@ from .oracle import (
 from .partition import (
     APPROXIMATE,
     EXACT,
+    SCHEDULE_FAILURE,
+    TPA_FAILURE,
     boost_by_median,
     build_schedule,
     check_partition_work,
@@ -177,7 +179,7 @@ def cmd_partition(args) -> int:
     space = parse_space(args.space)
     target = _target_for(args, space)
     mode = EXACT if args.mode == "exact" else APPROXIMATE
-    check_runs(args.runs, args.delta)
+    check_runs(args.runs, args.delta, TPA_FAILURE if mode == EXACT else SCHEDULE_FAILURE)
     check_partition_work(target, args.eps, args.p, mode, args.runs)
     runs = [
         estimate_partition(

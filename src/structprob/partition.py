@@ -60,8 +60,10 @@ from .streams import require_rng
 EXACT = "exact"
 APPROXIMATE = "approximate"
 
-# An exact-mode estimate misses (1 +- eps) Z with probability at most this.
+# An exact-mode (TPA) estimate misses (1 +- eps) Z with probability at most
+# TPA_FAILURE, an approximate-mode (schedule) estimate with SCHEDULE_FAILURE.
 TPA_FAILURE = 1e-8
+SCHEDULE_FAILURE = 0.25
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ class PartitionEstimate:
     schedule: Optional[CoolingSchedule] = None
     ratios: tuple[RatioEstimate, ...] = ()
     tpa: Optional[TPACount] = None
-    success_prob: float = 0.75
+    success_prob: float = 1.0 - SCHEDULE_FAILURE
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
@@ -243,27 +245,43 @@ def check_partition_work(
     p: int = 3,
     mode: str = EXACT,
     runs: int = 1,
-) -> tuple:
+) -> None:
     """Refuse ``runs`` partition estimates whose work exceeds
-    MAX_EXPECTED_PROPOSALS, before the grid or any draw; returns the sizes
-    of one run: (r, L_bound) in exact mode, (l, S, eps_tv) in approximate
-    mode (``p`` is read in approximate mode only).
+    MAX_EXPECTED_PROPOSALS, before the grid or any draw (``p`` is read in
+    approximate mode only).
 
     Every draw is priced at beta = 1, the costliest: delta_beta only falls
     as beta rises, so certificates get no cheaper and the mixing bound no
-    shorter.  An exact run is priced at r*(L_bound + 1) draws, at least the
-    r*(L + 1) it expects; an approximate run at l ratios of S draws.
+    shorter.
     """
     if mode == EXACT:
-        l_bound = _tpa_l_bound(target)
-        if not isfinite(l_bound):  # B*R overflowed, and so did the certificate price
-            _check_expected_proposals(target, runs)
-        r = tpa_runs(l_bound, epsilon)
-        _check_expected_proposals(
-            target, runs * r * ceil(1.0 + l_bound), None,
-            f"{runs} partition estimates of {_format_count(r)} TPA runs expecting "
-            f"at most {1.0 + l_bound:.3g} draws each")
-        return r, l_bound
+        _check_tpa_work(target, epsilon, runs)
+    else:
+        _check_schedule_work(target, epsilon, p, runs)
+
+
+def _check_tpa_work(
+    target: GibbsTarget, epsilon: float, runs: int
+) -> tuple[int, float]:
+    """(r, L_bound) of one exact-mode estimate, after refusing ``runs`` of
+    them priced at r*(L_bound + 1) draws each, at least the r*(L + 1) they
+    expect."""
+    l_bound = _tpa_l_bound(target)
+    if not isfinite(l_bound):  # B*R overflowed, and so did the certificate price
+        _check_expected_proposals(target, runs)
+    r = tpa_runs(l_bound, epsilon)
+    _check_expected_proposals(
+        target, runs * r * ceil(1.0 + l_bound), None,
+        f"{runs} partition estimates of {_format_count(r)} TPA runs expecting "
+        f"at most {1.0 + l_bound:.3g} draws each")
+    return r, l_bound
+
+
+def _check_schedule_work(
+    target: GibbsTarget, epsilon: float, p: int, runs: int
+) -> tuple[int, int, float]:
+    """(l, S, eps_tv) of one approximate-mode estimate, after refusing
+    ``runs`` of them priced at l ratios of S draws each."""
     l = 1 + _grid(FEATURE_NORM_BOUND, target.params.theta_norm, p)[1]
     S = sample_size(epsilon, l, p)
     eps_tv = tv_target(epsilon, l, p)
@@ -281,9 +299,9 @@ def _tpa_l_bound(target: GibbsTarget) -> float:
     return target.score_ceiling - mean
 
 
-def tpa_runs(l_bound: float, epsilon: float, failure: float = TPA_FAILURE) -> int:
+def tpa_runs(l_bound: float, epsilon: float) -> int:
     """TPA runs r whose count k/r is within t = ln(1 + eps) of any L <= l_bound
-    but with probability at most ``failure``.
+    but with probability at most TPA_FAILURE.
 
     k is Poisson(r L), so Bernstein's tail bounds P(|k - r L| >= r t) by
     2 exp(-r t^2 / (2 (L + t/3))).  Raises InvalidEpsilon when r is beyond
@@ -292,7 +310,7 @@ def tpa_runs(l_bound: float, epsilon: float, failure: float = TPA_FAILURE) -> in
     _check_epsilon(epsilon)
     t = log1p(epsilon)
     try:  # t*t may underflow to 0, and ceil(inf) raises OverflowError
-        return ceil(2.0 * (l_bound + t / 3.0) * log(2.0 / failure) / (t * t))
+        return ceil(2.0 * (l_bound + t / 3.0) * log(2.0 / TPA_FAILURE) / (t * t))
     except (ZeroDivisionError, OverflowError):
         raise InvalidEpsilon(
             f"epsilon = {epsilon:g} needs a TPA run count beyond the largest float"
@@ -335,7 +353,7 @@ def estimate_partition(
     Approximate mode telescopes Z into schedule ratios, spends
     sample_size(eps, l, p) draws on each, each within tv_target(eps, l, p)
     total variation, and combines in log space as ln|Y| - sum ln(mean_i):
-    within (1 +- eps) of Z with probability >= 3/4.
+    within (1 +- eps) of Z with probability >= 1 - SCHEDULE_FAILURE = 3/4.
     """
     _check_epsilon(epsilon)
     if target.beta != 1.0:
@@ -344,7 +362,7 @@ def estimate_partition(
         raise ValueError(f"unknown sampler mode {mode!r}")
     require_rng(rng, "estimate_partition")
     if mode == EXACT:
-        r, l_bound = check_partition_work(target, epsilon, p, mode)
+        r, l_bound = _check_tpa_work(target, epsilon, 1)
         k = _tpa_count(target, r, rng)
         return PartitionEstimate(
             log_value=ln_count(target.space) + target.score_ceiling - k / r,
@@ -354,7 +372,7 @@ def estimate_partition(
             success_prob=1.0 - TPA_FAILURE,
             seed=seed,
         )
-    l, S, eps_tv = check_partition_work(target, epsilon, p, mode)
+    l, S, eps_tv = _check_schedule_work(target, epsilon, p, 1)
     schedule = build_schedule(FEATURE_NORM_BOUND, target.params.theta_norm, p)
     ratio_rngs = rng.spawn(l)
     ratios = []
@@ -373,30 +391,38 @@ def estimate_partition(
     )
 
 
-def required_runs(delta: float) -> int:
+def required_runs(delta: float, failure: float = SCHEDULE_FAILURE) -> int:
     """Independent runs needed before a median is (1-delta)-reliable.
 
-    One run already succeeds with probability 3/4, so delta >= 1/4 needs a
-    single run; below that the Chernoff-style count 24*ln(1/delta) applies.
+    ``failure`` is the probability that one run misses: SCHEDULE_FAILURE
+    in approximate mode, TPA_FAILURE in exact mode.  When delta is at
+    least that, one run suffices; below it the Chernoff-style count
+    24*ln(1/delta) applies, which holds for any per-run failure up to 1/4.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if delta >= 0.25:
+    if delta >= failure:
         return 1
     return ceil(24.0 * log(1.0 / delta))
 
 
-def check_runs(runs: int, delta: float) -> None:
+def check_runs(runs: int, delta: float, failure: float = SCHEDULE_FAILURE) -> None:
     """Refuse, as TooFewRuns, fewer runs than a (1-delta)-reliable median needs."""
-    needed = required_runs(delta)
+    needed = required_runs(delta, failure)
     if runs < needed:
         raise TooFewRuns(f"need at least {needed} runs for delta={delta}, got {runs}")
 
 
 def boost_by_median(runs, delta: float) -> PartitionEstimate:
-    """Median log-estimate of independent runs; success prob >= 1 - delta."""
+    """Median log-estimate of independent runs; success prob >= 1 - delta.
+
+    A single run is its own median and keeps its own success probability.
+    """
     runs = list(runs)
-    check_runs(len(runs), delta)
+    failure = max((1.0 - r.success_prob for r in runs), default=SCHEDULE_FAILURE)
+    check_runs(len(runs), delta, failure)
+    if len(runs) == 1:
+        return runs[0]
     log_value = float(np.median([r.log_value for r in runs]))
     return replace(runs[0], log_value=log_value, success_prob=1.0 - delta)
 

@@ -203,12 +203,34 @@ def test_partition_refuses_too_few_runs_for_delta_before_drawing(
     def no_draws(*args, **kwargs):
         raise AssertionError("partition drew before refusing")
 
+    # an approximate-mode run succeeds with probability 3/4, so delta = 0.05
+    # needs ceil(24 ln 20) = 72 runs
     monkeypatch.setattr(cli, "check_partition_work", no_draws)
     monkeypatch.setattr(cli, "estimate_partition", no_draws)
     _refused_quickly(capsys, ["partition", "--space", "hypercube:3", "--theta-random",
                               "1", "--seed", "1", "--eps", "0.5", "--delta", "0.05",
-                              "--runs", runs],
+                              "--mode", "approximate", "--runs", runs],
                      2, f"need at least 72 runs for delta=0.05, got {runs}")
+
+
+def test_exact_partition_one_run_meets_delta_down_to_tpa_failure(monkeypatch, capsys):
+    # an exact-mode (TPA) run fails with probability at most TPA_FAILURE =
+    # 1e-8, so one run meets delta = 0.05 and keeps that success probability
+    argv = ["partition", "--space", "hypercube:3", "--theta-random", "1", "--eps", "0.5",
+            "--seed", "1", "--runs", "1"]
+    assert run(argv + ["--delta", "0.05"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["runs"] == 1 and doc["mode"] == "exact"
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == doc
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("partition drew before refusing")
+
+    monkeypatch.setattr(cli, "check_partition_work", no_draws)
+    monkeypatch.setattr(cli, "estimate_partition", no_draws)
+    _refused_quickly(capsys, argv + ["--delta", "1e-9"],
+                     2, "need at least 498 runs for delta=1e-09, got 1")
 
 
 def test_partition_invalid_epsilon_exit_code():

@@ -34,10 +34,12 @@ from structprob.partition import (
     APPROXIMATE,
     EXACT,
     TPA_FAILURE,
+    _check_tpa_work,
     _grid,
-    check_partition_work,
     _tpa_count,
     _tpa_l_bound,
+    check_partition_work,
+    check_runs,
     tpa_runs,
 )
 from structprob.samplers import (
@@ -319,6 +321,14 @@ def test_required_runs():
     assert required_runs(0.01) == 111  # ceil(24 * ln 100)
     with pytest.raises(ValueError):
         required_runs(0.0)
+    # an exact-mode (TPA) run already fails with probability at most
+    # TPA_FAILURE, so one run meets any delta down to that
+    assert required_runs(0.05, TPA_FAILURE) == 1
+    assert required_runs(TPA_FAILURE, TPA_FAILURE) == 1
+    assert required_runs(1e-9, TPA_FAILURE) == 498  # ceil(24 * ln 1e9)
+    check_runs(1, 0.05, TPA_FAILURE)
+    with pytest.raises(TooFewRuns, match="need at least 72 runs"):
+        check_runs(1, 0.05)
 
 
 def _fake_run(value):
@@ -338,6 +348,23 @@ def test_boost_by_median():
     outside = [_fake_run(v) for v in [0.0] * 6 + [10.0] * 6]
     boosted = boost_by_median(inside + outside, 0.25)
     assert 4.9 <= boosted.log_value <= 5.1
+    assert boosted.success_prob == 0.75
+
+
+def test_boost_by_median_of_exact_runs():
+    # each exact run fails with probability at most TPA_FAILURE: one run
+    # meets delta = 0.05 and keeps its own success probability, several are
+    # boosted to 1 - delta as in approximate mode
+    target = unit_target(Hypercube(4), seed=119)
+    runs = [estimate_partition(target, 0.3, rng=np.random.default_rng((120, s)))
+            for s in range(3)]
+    assert runs[0].success_prob == 1.0 - TPA_FAILURE
+    assert boost_by_median(runs[:1], 0.05) == runs[0]
+    boosted = boost_by_median(runs, 0.05)
+    assert boosted.log_value == np.median([r.log_value for r in runs])
+    assert boosted.success_prob == 0.95
+    with pytest.raises(TooFewRuns):
+        boost_by_median(runs[:1], 1e-9)
 
 
 # ----------------------------------------------------------------- gradient
@@ -454,14 +481,18 @@ def test_tpa_counts_are_poisson_with_mean_r_times_l(which):
 
 
 def test_tpa_sized_for_a_failure_bound_fails_no_more_often():
-    # r sized for failure 0.05 (instead of TPA_FAILURE): the estimates
-    # outside (1 +- eps) Z stay within the binomial 0.999 quantile
+    # r sized by tpa_runs' rule for failure 0.05 (instead of TPA_FAILURE):
+    # the estimates outside (1 +- eps) Z stay within the binomial 0.999
+    # quantile
     from scipy import stats
 
     eps, failure, trials = 0.3, 0.05, 300
+    t = log(1.0 + eps)
     failures = 0
     for which, target in enumerate(tpa_targets()):
-        r = tpa_runs(_tpa_l_bound(target), eps, failure)
+        l_bound = _tpa_l_bound(target)
+        r = int(np.ceil(2.0 * (l_bound + t / 3.0) * log(2.0 / failure) / t**2))
+        assert r < tpa_runs(l_bound, eps)
         ln_z = exact_partition(target)
         for s in range(trials // 3):
             k = _tpa_count(target, r, np.random.default_rng((184, which, s)))
@@ -473,7 +504,7 @@ def test_tpa_sized_for_a_failure_bound_fails_no_more_often():
 def test_tpa_runs_values():
     t = log(1.3)
     assert tpa_runs(1.0, 0.3) == np.ceil(2.0 * (1.0 + t / 3.0) * log(2e8) / t**2)
-    assert tpa_runs(2.0, 0.3, 0.05) < tpa_runs(2.0, 0.3) < tpa_runs(4.0, 0.3)
+    assert tpa_runs(2.0, 0.3) < tpa_runs(4.0, 0.3)
     with pytest.raises(InvalidEpsilon, match="beyond the largest float"):
         tpa_runs(1.0, 1e-200)
     with pytest.raises(InvalidEpsilon):
@@ -483,7 +514,7 @@ def test_tpa_runs_values():
 def test_tpa_prices_r_runs_of_l_bound_plus_one_draws():
     # refused at the price r*(L_bound + 1)/delta_1, not at l*S draws
     target = unit_target(Hypercube(6), seed=185, norm=2.0)
-    r, l_bound = check_partition_work(target, 0.3)
+    r, l_bound = _check_tpa_work(target, 0.3, 1)
     assert (r, l_bound) == (tpa_runs(_tpa_l_bound(target), 0.3), _tpa_l_bound(target))
     runs = int(MAX_EXPECTED_PROPOSALS / (r * np.ceil(1 + l_bound) * expected_proposals(
         target, 1))) + 1
@@ -495,7 +526,7 @@ def test_tpa_prices_r_runs_of_l_bound_plus_one_draws():
 def test_tpa_estimate_reports_its_count():
     target = tpa_targets()[0]
     est = estimate_partition(target, 0.3, rng=np.random.default_rng(186))
-    r, l_bound = check_partition_work(target, 0.3)
+    r, l_bound = _check_tpa_work(target, 0.3, 1)
     assert est.tpa.r == r and est.tpa.l_bound == l_bound
     assert est.log_value == ln_count(target.space) + target.score_ceiling - est.tpa.k / r
     assert est.schedule is None and est.ratios == ()
