@@ -428,7 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "schedule over approximate draws")
     p_part.add_argument("--runs", type=int, default=1,
                         help="independent runs combined by their median")
-    p_part.add_argument("--delta", type=float, default=0.25)
+    p_part.add_argument("--delta", type=float, default=0.25,
+                        help="failure probability of the median: one run meets "
+                             "delta >= 1/4 in approximate mode, delta >= 1e-8 "
+                             "in exact mode")
     p_part.add_argument("--oracle", action="store_true",
                         help="also report the exact value and relative error")
     p_part.set_defaults(func=cmd_partition)

@@ -29,6 +29,11 @@ for a (1 +- eps) answer with probability >= 3/4 even though each draw is
 only within a total-variation budget of pi_{b_i}.  The per-ratio means are
 combined in log space: the estimate is ln|Y| - sum_i ln(mean_i).
 
+``boost_by_median`` takes the median of independent estimates to succeed
+with probability 1 - delta; ``required_runs`` counts the runs that needs
+from the per-run failure, TPA_FAILURE in exact mode and SCHEDULE_FAILURE =
+1/4 in approximate mode.
+
 The log-partition gradient is the expectation of the joint features under
 pi_beta and is estimated by a sample mean whose directional error obeys a
 Hoeffding bound; ``hoeffding_sample_size`` inverts that bound for S.
